@@ -23,6 +23,8 @@ var hotAllocScope = map[string]bool{
 	"odbscale/internal/engine/lsm":   true, // read-path draws and MemWrite run per op
 	"odbscale/internal/txtrace":      true, // per-commit span path pools trace records
 	"odbscale/internal/qstats":       true, // station accumulation rides every event
+	"odbscale/internal/cpu":          true, // branch predictor and TLB run per reference
+	"odbscale/internal/workload":     true, // reference synthesis and its branch kernel
 }
 
 // HotAlloc flags allocation patterns inside functions on the per-event

@@ -58,6 +58,29 @@ func TestHotAllocFixture(t *testing.T) {
 	checkGolden(t, "mod_hotalloc", got)
 }
 
+// TestKernelScopeCovered pins reference synthesis and the branch
+// predictor into the hot-alloc scope: an allocation per chunk in the
+// synthesizer or per batch in the predictor must be a finding, so the
+// batched branch kernel stays allocation-free. Construction stays exempt.
+func TestKernelScopeCovered(t *testing.T) {
+	for _, path := range []string{"odbscale/internal/cpu", "odbscale/internal/workload"} {
+		if !hotAllocScope[path] {
+			t.Errorf("%s missing from hotAllocScope", path)
+		}
+	}
+	got := runModuleFixture(t, "mod_kernel")
+	checkGolden(t, "mod_kernel", got)
+	joined := strings.Join(got, "\n")
+	for _, want := range []string{"internal/cpu/branch.go", "internal/workload/synth.go"} {
+		if !strings.Contains(joined, want) {
+			t.Errorf("hotalloc found nothing in %s:\n%s", want, joined)
+		}
+	}
+	if strings.Contains(joined, "New") {
+		t.Errorf("hotalloc flagged construction-time code:\n%s", joined)
+	}
+}
+
 // TestSimEventPathAllocRegression is the acceptance pin: a seeded heap
 // allocation on the sim event path must be caught, in each of the four
 // classes — including one reached only through a callback reference.

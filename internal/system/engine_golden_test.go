@@ -21,7 +21,31 @@ import (
 // Go's encoding/json round-trips float64 exactly, so comparing the
 // decoded values is still a bit-level check.
 func TestBTreeEngineGolden(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", "metrics-btree.json"))
+	points := []struct{ w, p int }{{10, 1}, {10, 4}, {200, 1}, {200, 4}, {1200, 1}, {1200, 4}}
+	if testing.Short() {
+		points = points[:2]
+	}
+	checkGolden(t, "metrics-btree.json", points, determinismConfig)
+}
+
+// TestLSMEngineGolden pins the LSM engine the same way. Its golden file
+// was generated before the batched branch-outcome kernel replaced the
+// per-branch loop in reference synthesis, at W ∈ {10, 200} × P ∈ {1, 4}
+// on lsmCfg; any later speed-up of the synthesis or RNG layers must
+// leave these runs bit-identical or re-pin the file on purpose.
+func TestLSMEngineGolden(t *testing.T) {
+	points := []struct{ w, p int }{{10, 1}, {10, 4}, {200, 1}, {200, 4}}
+	if testing.Short() {
+		points = points[:2]
+	}
+	checkGolden(t, "metrics-lsm.json", points, lsmCfg)
+}
+
+// checkGolden runs every (W, P) point through cfgFor and compares the
+// run's Metrics against the named golden file's entry for that point.
+func checkGolden(t *testing.T, file string, points []struct{ w, p int }, cfgFor func(w, p int) Config) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", file))
 	if err != nil {
 		t.Fatalf("read golden: %v", err)
 	}
@@ -29,21 +53,14 @@ func TestBTreeEngineGolden(t *testing.T) {
 	if err := json.Unmarshal(data, &golden); err != nil {
 		t.Fatalf("decode golden: %v", err)
 	}
-
-	points := []struct{ w, p int }{{10, 1}, {10, 4}, {200, 1}, {200, 4}, {1200, 1}, {1200, 4}}
-	if testing.Short() {
-		points = points[:2]
-	}
 	for _, pt := range points {
-		pt := pt
 		key := fmt.Sprintf("[%d,%d]", pt.w, pt.p)
 		want, ok := golden[key]
 		if !ok {
 			t.Fatalf("golden file has no point %s", key)
 		}
 		t.Run(key, func(t *testing.T) {
-			cfg := determinismConfig(pt.w, pt.p)
-			m, err := Run(context.Background(), cfg)
+			m, err := Run(context.Background(), cfgFor(pt.w, pt.p))
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}

@@ -188,11 +188,19 @@ type Synth struct {
 	kernelStride uint64
 	kernelShared uint64
 	pgaRegion    uint64
+
+	// Scratch for one batch of branches: the sites branchZ drew and the
+	// outcomes drawn for them.
+	sites [branchBatch]uint32
+	taken [branchBatch]bool
 }
 
+// branchBatch is the number of branches resolved per kernel batch.
+const branchBatch = 256
+
 // branchBiasTab caches branchBias over the 512 branch sites the branch
-// Zipf draws from, so the per-branch loop does one table read instead of
-// a hash and switch.
+// Zipf draws from, so each outcome draw does one table read instead of a
+// hash and switch.
 var branchBiasTab = func() [512]float64 {
 	var t [512]float64
 	for i := range t {
@@ -328,17 +336,28 @@ func (s *Synth) Run(spec ChunkSpec) Events {
 		}
 	}
 
-	// Branches. The bias table is in (0, 1) for every site, so the direct
-	// Float64 compare consumes the stream exactly as Bernoulli would.
-	bp := s.bps[spec.CPU]
-	for i := uint64(0); i < ev.Branches; i++ {
-		site := s.branchZ.Next()
-		taken := s.rng.Float64() < branchBiasTab[site]
-		if !bp.Record(site, taken) {
-			ev.Mispred++
-		}
-	}
+	ev.Mispred = s.branches(s.bps[spec.CPU], ev.Branches)
 	return ev
+}
+
+// branches resolves n branches on predictor bp and returns how many it
+// mispredicted. Each branch draws its site from branchZ and its outcome
+// as a Float64 from s.rng compared with the site's bias. The kernel takes
+// them in batches: all sites of a batch, then all outcomes, then the
+// predictor updates. That only regroups draws between two streams —
+// branchZ owns a child generator of its own (rng.Split) and nothing else
+// draws inside the loop — so every stream yields exactly the sequence
+// the one-branch-at-a-time loop did.
+func (s *Synth) branches(bp *cpu.BranchPredictor, n uint64) (mispred uint64) {
+	for n > 0 {
+		k := min(n, branchBatch)
+		sites, taken := s.sites[:k], s.taken[:k]
+		s.branchZ.NextBatch(sites)
+		s.rng.LessBatch(taken, sites, branchBiasTab[:])
+		mispred += bp.RecordBatch(sites, taken)
+		n -= k
+	}
+	return mispred
 }
 
 // branchBias gives each branch site a stable taken-probability: most

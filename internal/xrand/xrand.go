@@ -25,6 +25,10 @@ type Rand struct {
 	state uint64 // splitmix64 counter for the fast paths
 }
 
+// golden is the splitmix64 counter increment, 2^64 divided by the golden
+// ratio.
+const golden = 0x9e3779b97f4a7c15
+
 // splitmix64 is the output stage of the splitmix64 generator.
 func splitmix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -36,23 +40,37 @@ func splitmix64(z uint64) uint64 {
 func New(seed int64) *Rand {
 	return &Rand{
 		Rand:  rand.New(rand.NewSource(seed)),
-		state: splitmix64(uint64(seed) + 0x9e3779b97f4a7c15),
+		state: splitmix64(uint64(seed) + golden),
 	}
 }
 
 // Uint64 returns a uniform 64-bit draw (fast path).
 func (r *Rand) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += golden
 	return splitmix64(r.state)
+}
+
+// LessBatch sets out[i] = Float64() < p[idx[i]] for every i in out, in
+// order: the same outcomes, and the same stream position afterwards, as
+// the scalar compare in a loop. idx must be at least as long as out.
+func (r *Rand) LessBatch(out []bool, idx []uint32, p []float64) {
+	idx = idx[:len(out)]
+	state := r.state
+	for i, k := range idx {
+		state += golden
+		out[i] = unitFloat(splitmix64(state)) < p[k]
+	}
+	r.state = state
 }
 
 // Int63 returns a uniform draw in [0, 2^63) (fast path).
 func (r *Rand) Int63() int64 { return int64(r.Uint64() >> 1) }
 
 // Float64 returns a uniform draw in [0, 1) (fast path).
-func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
-}
+func (r *Rand) Float64() float64 { return unitFloat(r.Uint64()) }
+
+// unitFloat maps a uniform 64-bit word to [0, 1) using its top 53 bits.
+func unitFloat(u uint64) float64 { return float64(u>>11) * (1.0 / (1 << 53)) }
 
 // Intn returns a uniform draw in [0, n); it panics if n <= 0. The bound
 // is applied with the fixed-point multiply method; its bias (< n/2^64) is
@@ -71,7 +89,7 @@ func (r *Rand) Intn(n int) int {
 func (r *Rand) Split(id uint64) *Rand {
 	// Mix the id through splitmix64 so that small consecutive ids land far
 	// apart in seed space.
-	z := splitmix64(id + 0x9e3779b97f4a7c15)
+	z := splitmix64(id + golden)
 	return New(r.Int63() ^ int64(z))
 }
 
@@ -104,8 +122,8 @@ func (r *Rand) NURand(a, x, y, c int) int {
 // The sampler is an alias table (Vose's method): construction is O(n) and
 // each draw costs exactly one Uint64 from the underlying stream plus two
 // array reads — no rejection loop, no Exp/Log calls. The reference
-// synthesizer draws from these tables for every memory reference, so this
-// is the single hottest function in a simulation.
+// synthesizer draws from these tables for every memory reference, one at
+// a time through Next, and for branch sites in batches through NextBatch.
 type Zipf struct {
 	r      *Rand
 	prob   []float64 // scaled acceptance probability per slot
@@ -181,20 +199,45 @@ func NewZipf(r *Rand, theta float64, n uint64) *Zipf {
 	return z
 }
 
-// Next returns the next draw. One 64-bit draw provides both the slot index
-// (via the high half of the 128-bit product u*n) and an independent
-// uniform fraction (the low half) for the accept/alias test.
+// Next returns the next draw.
 func (z *Zipf) Next() uint64 {
 	if z.single {
 		return 0
 	}
-	u := z.r.Uint64()
-	hi, lo := bits.Mul64(u, z.n)
-	frac := float64(lo>>11) * (1.0 / (1 << 53))
-	if frac < z.prob[hi] {
-		return hi
+	return aliasDraw(z.r.Uint64(), z.n, z.prob, z.alias)
+}
+
+// NextBatch fills dst with the next len(dst) draws: the same values, and
+// the same stream position afterwards, as len(dst) calls of Next. The
+// splitmix counter and the table headers live in locals for the whole
+// batch.
+func (z *Zipf) NextBatch(dst []uint32) {
+	if z.single {
+		clear(dst)
+		return
 	}
-	return uint64(z.alias[hi])
+	n, prob, alias := z.n, z.prob, z.alias
+	state := z.r.state
+	for i := range dst {
+		state += golden
+		dst[i] = uint32(aliasDraw(splitmix64(state), n, prob, alias))
+	}
+	z.r.state = state
+}
+
+// aliasDraw maps one uniform 64-bit word to one of n items. The high
+// half of the 128-bit product u*n picks the slot, the low half is an
+// independent uniform fraction for the accept/alias test, and the choice
+// between the slot and its alias compiles to a conditional move, not a
+// branch: at weakly skewed slots the test is a coin flip that a host
+// branch predictor cannot learn.
+func aliasDraw(u, n uint64, prob []float64, alias []uint32) uint64 {
+	hi, lo := bits.Mul64(u, n)
+	v := uint64(alias[hi])
+	if unitFloat(lo) < prob[hi] {
+		v = hi
+	}
+	return v
 }
 
 // Bernoulli returns true with probability p.
