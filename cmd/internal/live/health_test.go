@@ -2,25 +2,27 @@ package live
 
 import (
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
-	"odbscale/internal/profile"
+	"odbscale/internal/observe"
 	"odbscale/internal/qstats"
 	"odbscale/internal/telemetry"
 	"odbscale/internal/txtrace"
 )
 
-// fullSource carries every optional payload at once — the richest shape
-// a CLI can serve.
-type fullSource struct {
-	*telemetry.Recorder
-	*profile.Store
-	*txtrace.Tracer
-	*qstats.Collector
+// fullEndpoints lists every extra payload at once — the richest shape a
+// CLI can serve: a campaign profile store, a run's span tracer and its
+// queueing collector.
+func fullEndpoints(col *qstats.Collector) []Endpoint {
+	path, write := observe.Profiles().Endpoint()
+	return []Endpoint{
+		{Path: path, Write: write},
+		{Path: "/traces", Write: txtrace.NewTracer(txtrace.Config{}).WriteTraces},
+		{Path: "/bottlenecks", Write: col.WriteBottlenecks},
+	}
 }
 
 // TestContentTypeHeaders pins the Content-Type of every endpoint: the
@@ -29,8 +31,7 @@ type fullSource struct {
 func TestContentTypeHeaders(t *testing.T) {
 	rec := telemetry.NewRecorder(telemetry.Config{})
 	rec.PushSample(telemetry.Sample{SimSeconds: 0.5, TPS: 10})
-	src := fullSource{rec, profile.NewStore(), txtrace.NewTracer(txtrace.Config{}), qstats.NewCollector()}
-	ts := httptest.NewServer(NewMux(src))
+	ts := httptest.NewServer(NewMux(rec, fullEndpoints(qstats.NewCollector())...))
 	defer ts.Close()
 
 	cases := map[string]string{
@@ -58,7 +59,7 @@ func TestContentTypeHeaders(t *testing.T) {
 }
 
 // TestHealthzEndpoint checks the health payload carries run state and
-// sample counts, and that sources without a HealthSource still answer.
+// sample counts, for a single run and for a campaign.
 func TestHealthzEndpoint(t *testing.T) {
 	rec := telemetry.NewRecorder(telemetry.Config{})
 	rec.SetTarget(50)
@@ -87,28 +88,30 @@ func TestHealthzEndpoint(t *testing.T) {
 		t.Errorf("/healthz payload = %+v", h)
 	}
 
-	// A source without WriteHealth still serves a minimal payload.
-	bare := httptest.NewServer(NewMux(bareSource{rec}))
-	defer bare.Close()
-	body, ct, err := httpGet(bare.URL + "/healthz")
+	// A campaign recorder serves its own summary.
+	cr := telemetry.NewCampaignRecorder(telemetry.Config{})
+	cr.SetTotalPoints(3)
+	camp := httptest.NewServer(NewMux(cr))
+	defer camp.Close()
+	body, ct, err := httpGet(camp.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ct != contentTypeJSON || !strings.Contains(body, "\"status\":\"ok\"") {
-		t.Errorf("fallback /healthz = %q (%s)", body, ct)
+	var ch struct {
+		Status      string `json:"status"`
+		Done        bool   `json:"done"`
+		TotalPoints int    `json:"total_points"`
+	}
+	if err := json.Unmarshal([]byte(body), &ch); err != nil {
+		t.Fatalf("campaign /healthz JSON: %v\n%s", err, body)
+	}
+	if ct != contentTypeJSON || ch.Status != "ok" || ch.Done || ch.TotalPoints != 3 {
+		t.Errorf("campaign /healthz = %q (%s)", body, ct)
 	}
 }
 
-// bareSource hides the recorder's optional interfaces behind the
-// minimal Source shape.
-type bareSource struct{ src Source }
-
-func (b bareSource) WriteMetrics(w io.Writer) error  { return b.src.WriteMetrics(w) }
-func (b bareSource) WriteTimeline(w io.Writer) error { return b.src.WriteTimeline(w) }
-func (b bareSource) WriteProgress(w io.Writer) error { return b.src.WriteProgress(w) }
-
-// TestBottlenecksEndpoint checks /bottlenecks appears exactly when the
-// source carries queueing reports, serving the pending marker before the
+// TestBottlenecksEndpoint checks /bottlenecks appears exactly when it is
+// listed, serving the pending marker before the
 // first publication and the report after it.
 func TestBottlenecksEndpoint(t *testing.T) {
 	plain := httptest.NewServer(NewMux(telemetry.NewRecorder(telemetry.Config{})))
@@ -123,8 +126,7 @@ func TestBottlenecksEndpoint(t *testing.T) {
 	}
 
 	col := qstats.NewCollector()
-	src := fullSource{telemetry.NewRecorder(telemetry.Config{}), profile.NewStore(), txtrace.NewTracer(txtrace.Config{}), col}
-	ts := httptest.NewServer(NewMux(src))
+	ts := httptest.NewServer(NewMux(telemetry.NewRecorder(telemetry.Config{}), fullEndpoints(col)...))
 	defer ts.Close()
 
 	body, _, err := httpGet(ts.URL + "/bottlenecks")

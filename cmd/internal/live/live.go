@@ -21,44 +21,15 @@ type Source interface {
 	WriteMetrics(io.Writer) error
 	WriteTimeline(io.Writer) error
 	WriteProgress(io.Writer) error
-}
-
-// ProfileSource is the optional fourth endpoint: sources that also
-// carry cycle-attribution profiles (e.g. *profile.Store, or a combined
-// source wrapping one) additionally get /profile. Detected by type
-// assertion in NewMux, so plain flight sources keep working unchanged.
-type ProfileSource interface {
-	WriteProfiles(io.Writer) error
-}
-
-// TraceSource is the optional fifth endpoint: sources that also carry
-// sampled transaction span traces (e.g. *txtrace.Tracer for one run,
-// *txtrace.Store for a campaign, or a combined source wrapping either)
-// additionally get /traces. Detected by type assertion in NewMux, like
-// ProfileSource.
-type TraceSource interface {
-	WriteTraces(io.Writer) error
-}
-
-// BottleneckSource is the optional queueing-observatory endpoint:
-// sources that carry per-resource service-center reports (e.g.
-// *qstats.Collector for one run, *qstats.Store for a campaign, or a
-// combined source wrapping either) additionally get /bottlenecks.
-type BottleneckSource interface {
-	WriteBottlenecks(io.Writer) error
-}
-
-// HealthSource lets a source provide a richer /healthz payload (run
-// state plus sample counts); sources without it get a minimal static
-// one.
-type HealthSource interface {
 	WriteHealth(io.Writer) error
 }
 
-// TimelineCSVSource lets a source serve /timeline?format=csv; sources
-// without it only speak JSON on that endpoint.
-type TimelineCSVSource interface {
-	WriteTimelineCSV(io.Writer) error
+// Endpoint is one extra JSON endpoint served next to the flight data —
+// a per-point observer's store for a campaign (/profile, /traces,
+// /bottlenecks) or a single run's collector.
+type Endpoint struct {
+	Path  string
+	Write func(io.Writer) error
 }
 
 // Exposition content types.
@@ -82,15 +53,14 @@ func handler(contentType string, write func(io.Writer) error) http.HandlerFunc {
 	}
 }
 
-// NewMux routes the flight-recorder endpoints over src, adding
-// /profile when src also carries cycle-attribution profiles, /traces
-// when it carries sampled transaction spans, and /bottlenecks when it
-// carries queueing-observatory reports. /healthz is always present.
-func NewMux(src Source) *http.ServeMux {
+// NewMux routes the flight-recorder endpoints over src plus each extra
+// endpoint, in order. A source that also writes its timeline as CSV
+// (a single-run recorder) serves it on /timeline?format=csv.
+func NewMux(src Source, extra ...Endpoint) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", handler(contentTypeOM, src.WriteMetrics))
 	timelineJSON := handler(contentTypeJSON, src.WriteTimeline)
-	if cs, ok := src.(TimelineCSVSource); ok {
+	if cs, ok := src.(interface{ WriteTimelineCSV(io.Writer) error }); ok {
 		timelineCSV := handler(contentTypeCSV, cs.WriteTimelineCSV)
 		mux.HandleFunc("/timeline", func(w http.ResponseWriter, req *http.Request) {
 			if req.URL.Query().Get("format") == "csv" {
@@ -103,26 +73,11 @@ func NewMux(src Source) *http.ServeMux {
 		mux.HandleFunc("/timeline", timelineJSON)
 	}
 	mux.HandleFunc("/progress", handler(contentTypeJSON, src.WriteProgress))
-	if hs, ok := src.(HealthSource); ok {
-		mux.HandleFunc("/healthz", handler(contentTypeJSON, hs.WriteHealth))
-	} else {
-		mux.HandleFunc("/healthz", handler(contentTypeJSON, func(w io.Writer) error {
-			_, err := io.WriteString(w, "{\"status\":\"ok\"}\n")
-			return err
-		}))
-	}
+	mux.HandleFunc("/healthz", handler(contentTypeJSON, src.WriteHealth))
 	index := "odbscale flight recorder: /metrics /timeline /progress /healthz"
-	if ps, ok := src.(ProfileSource); ok {
-		mux.HandleFunc("/profile", handler(contentTypeJSON, ps.WriteProfiles))
-		index += " /profile"
-	}
-	if ts, ok := src.(TraceSource); ok {
-		mux.HandleFunc("/traces", handler(contentTypeJSON, ts.WriteTraces))
-		index += " /traces"
-	}
-	if bs, ok := src.(BottleneckSource); ok {
-		mux.HandleFunc("/bottlenecks", handler(contentTypeJSON, bs.WriteBottlenecks))
-		index += " /bottlenecks"
+	for _, ep := range extra {
+		mux.HandleFunc(ep.Path, handler(contentTypeJSON, ep.Write))
+		index += " " + ep.Path
 	}
 	mux.HandleFunc("/", func(w http.ResponseWriter, req *http.Request) {
 		if req.URL.Path != "/" {
@@ -141,15 +96,15 @@ type Server struct {
 	srv *http.Server
 }
 
-// Serve starts serving src on addr (e.g. ":8090" or "127.0.0.1:0") in a
-// background goroutine and returns once the listener is bound, so
-// Addr() is immediately routable.
-func Serve(addr string, src Source) (*Server, error) {
+// Serve starts serving src and the extra endpoints on addr (e.g.
+// ":8090" or "127.0.0.1:0") in a background goroutine and returns once
+// the listener is bound, so Addr() is immediately routable.
+func Serve(addr string, src Source, extra ...Endpoint) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("live: listening on %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: NewMux(src)}
+	srv := &http.Server{Handler: NewMux(src, extra...)}
 	go srv.Serve(ln)
 	return &Server{ln: ln, srv: srv}, nil
 }

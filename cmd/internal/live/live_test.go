@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"odbscale/internal/campaign"
+	"odbscale/internal/observe"
 	"odbscale/internal/odb"
 	"odbscale/internal/profile"
 	"odbscale/internal/system"
@@ -114,15 +115,9 @@ func TestMuxEndpoints(t *testing.T) {
 	}
 }
 
-// profiledSource combines a flight source with a profile store — the
+// TestProfileEndpoint checks /profile appears exactly when the profile
+// kind's endpoint is listed, and serves the store's JSON payload — the
 // shape odbsweep serves when both -listen and -profile are set.
-type profiledSource struct {
-	*telemetry.CampaignRecorder
-	*profile.Store
-}
-
-// TestProfileEndpoint checks /profile appears exactly when the source
-// carries profiles, and serves the store's JSON payload.
 func TestProfileEndpoint(t *testing.T) {
 	// A plain flight source must not expose /profile.
 	plain := httptest.NewServer(NewMux(telemetry.NewRecorder(telemetry.Config{})))
@@ -136,16 +131,15 @@ func TestProfileEndpoint(t *testing.T) {
 		t.Errorf("/profile on a plain source: status %d, want 404", resp.StatusCode)
 	}
 
-	st := profile.NewStore()
+	kind := observe.Profiles()
 	col := profile.NewCollector()
 	col.SetMeta(profile.Meta{Label: "W=10,P=1", Scale: 1})
 	col.AddChunk(profile.User,
 		[]profile.Share{{Kind: profile.KindOf(odb.NewOrder), Phase: odb.PhaseBTree, Instr: 1000}},
 		1000, 2500, profile.Events{L3Miss: 4})
-	st.Put("W=10,P=1", col.Profile())
-	src := profiledSource{telemetry.NewCampaignRecorder(telemetry.Config{}), st}
-
-	ts := httptest.NewServer(NewMux(src))
+	kind.Store.Put("W=10,P=1", col.Profile())
+	path, write := kind.Endpoint()
+	ts := httptest.NewServer(NewMux(telemetry.NewCampaignRecorder(telemetry.Config{}), Endpoint{Path: path, Write: write}))
 	defer ts.Close()
 	body, ct, err := httpGet(ts.URL + "/profile")
 	if err != nil {
@@ -202,15 +196,9 @@ func TestMetricsResponseFormat(t *testing.T) {
 	}
 }
 
-// spannedSource combines a flight source with a span tracer — the shape
-// odbrun serves when both -listen and -spans are set.
-type spannedSource struct {
-	*telemetry.Recorder
-	*txtrace.Tracer
-}
-
-// TestTraceEndpoint checks /traces appears exactly when the source
-// carries span traces, and serves the tracer's dump payload.
+// TestTraceEndpoint checks /traces appears exactly when it is listed,
+// and serves the tracer's dump payload — the shape odbrun serves when
+// both -listen and -spans are set.
 func TestTraceEndpoint(t *testing.T) {
 	// A plain flight source must not expose /traces.
 	plain := httptest.NewServer(NewMux(telemetry.NewRecorder(telemetry.Config{})))
@@ -230,9 +218,8 @@ func TestTraceEndpoint(t *testing.T) {
 	ps.Begin(odb.NewOrder, 1000)
 	ps.EndChunk(1000, 500, 0)
 	tr.End(ps, 1500, true)
-	src := spannedSource{telemetry.NewRecorder(telemetry.Config{}), tr}
-
-	ts := httptest.NewServer(NewMux(src))
+	ts := httptest.NewServer(NewMux(telemetry.NewRecorder(telemetry.Config{}),
+		Endpoint{Path: "/traces", Write: tr.WriteTraces}))
 	defer ts.Close()
 	body, ct, err := httpGet(ts.URL + "/traces")
 	if err != nil {
@@ -310,7 +297,7 @@ func (o *killObserver) counts() (successes, resumed int) {
 
 // liveSpec is a small fixed-client campaign on the real simulator: six
 // points, no tuner, serialized runs so the kill point is predictable.
-func liveSpec(path string, flight *telemetry.CampaignRecorder) campaign.Spec {
+func liveSpec(path string, flight *telemetry.CampaignRecorder, kinds ...observe.Kind) campaign.Spec {
 	tun := system.DefaultTuning()
 	tun.PrefillSampleTxns = 250
 	return campaign.Spec{
@@ -325,16 +312,48 @@ func liveSpec(path string, flight *telemetry.CampaignRecorder) campaign.Spec {
 		Processors:     []int{1, 2},
 		CheckpointPath: path,
 		Flight:         flight,
+		Observe:        kinds,
 	}
+}
+
+// endpointOf serves a kind's store the way odbsweep does.
+func endpointOf(k observe.Kind) Endpoint {
+	path, write := k.Endpoint()
+	return Endpoint{Path: path, Write: write}
+}
+
+// profileKeys fetches /profile and returns its point keys.
+func profileKeys(t *testing.T, base string) []string {
+	t.Helper()
+	body, _, err := httpGet(base + "/profile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entries []struct {
+		Key     string           `json:"key"`
+		Profile *profile.Profile `json:"profile"`
+	}
+	if err := json.Unmarshal([]byte(body), &entries); err != nil {
+		t.Fatalf("/profile JSON: %v", err)
+	}
+	keys := make([]string, 0, len(entries))
+	for _, e := range entries {
+		if e.Profile == nil || e.Profile.Meta.Label != e.Key || len(e.Profile.Frames) == 0 {
+			t.Errorf("/profile entry %q = %+v", e.Key, e.Profile)
+		}
+		keys = append(keys, e.Key)
+	}
+	return keys
 }
 
 // TestCampaignLiveKillResume is the acceptance check for the live
 // inspection endpoint, alongside the campaign package's kill/resume
-// test: a campaign serving /metrics, /timeline and /progress is killed
-// partway, then resumed behind a fresh server, and the endpoints must
-// stay consistent — with each other (progress JSON vs. metrics gauges)
-// and across the kill (phase A's completed points reappear as phase B's
-// resumed count).
+// test: a campaign serving /metrics, /timeline, /progress and a profile
+// kind's /profile is killed partway, then resumed behind a fresh
+// server, and the endpoints must stay consistent — with each other
+// (progress JSON vs. metrics gauges) and across the kill (phase A's
+// completed points reappear as phase B's resumed count, their profiles
+// restored).
 func TestCampaignLiveKillResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "campaign.json")
 	const total = 6
@@ -346,7 +365,8 @@ func TestCampaignLiveKillResume(t *testing.T) {
 	// Phase A: serve the campaign's flight recorder and kill the run
 	// after two completed points.
 	flightA := telemetry.NewCampaignRecorder(flightCfg)
-	srvA, err := Serve("127.0.0.1:0", flightA)
+	profA := observe.Profiles()
+	srvA, err := Serve("127.0.0.1:0", flightA, endpointOf(profA))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +391,7 @@ func TestCampaignLiveKillResume(t *testing.T) {
 			cancel()
 		}
 	}
-	specA := liveSpec(path, flightA)
+	specA := liveSpec(path, flightA, profA)
 	specA.Observer = recA
 	if _, err := campaign.Run(ctx, specA); !errors.Is(err, context.Canceled) {
 		t.Fatalf("killed campaign returned %v, want context.Canceled", err)
@@ -428,11 +448,15 @@ func TestCampaignLiveKillResume(t *testing.T) {
 	if len(cp.Points) != doneA {
 		t.Errorf("checkpoint holds %d points, observer saw %d successes", len(cp.Points), doneA)
 	}
+	if keys := profileKeys(t, baseA); len(keys) != doneA {
+		t.Errorf("post-kill /profile holds %v, observer saw %d successes", keys, doneA)
+	}
 	srvA.Close()
 
 	// Phase B: resume behind a fresh recorder and server.
 	flightB := telemetry.NewCampaignRecorder(flightCfg)
-	srvB, err := Serve("127.0.0.1:0", flightB)
+	profB := observe.Profiles()
+	srvB, err := Serve("127.0.0.1:0", flightB, endpointOf(profB))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +464,7 @@ func TestCampaignLiveKillResume(t *testing.T) {
 	baseB := "http://" + srvB.Addr()
 
 	recB := &killObserver{}
-	specB := liveSpec(path, flightB)
+	specB := liveSpec(path, flightB, profB)
 	specB.Resume = true
 	specB.Observer = recB
 	res, err := campaign.Run(context.Background(), specB)
@@ -499,6 +523,12 @@ func TestCampaignLiveKillResume(t *testing.T) {
 	}
 	if !strings.Contains(finalMetrics, `odb_txn_latency_us_count{txn_type=`) {
 		t.Error("final metrics missing merged latency histograms")
+	}
+	if keys := profileKeys(t, baseB); len(keys) != total {
+		t.Errorf("final /profile holds %v, want all %d points (restored ones included)", keys, total)
+	}
+	if idx, _, err := httpGet(baseB + "/"); err != nil || !strings.Contains(idx, "/profile") {
+		t.Errorf("index should advertise /profile: %q (err %v)", idx, err)
 	}
 
 	finalTimeline, _, err := httpGet(baseB + "/timeline")

@@ -49,29 +49,6 @@ import (
 	"odbscale/internal/txtrace"
 )
 
-// spannedSource serves the flight recorder plus the span tracer — the
-// shape odbrun's live server takes when both -listen and -spans are on.
-// The other observer combinations get their own concrete types below:
-// a nil embedded field would still advertise its endpoint to the mux's
-// type assertions, so each combination must only embed what it has.
-type spannedSource struct {
-	*telemetry.Recorder
-	*txtrace.Tracer
-}
-
-// queuedSource adds the queueing observatory's /bottlenecks.
-type queuedSource struct {
-	*telemetry.Recorder
-	*qstats.Collector
-}
-
-// observedSource is the full rig: spans and station metrics together.
-type observedSource struct {
-	*telemetry.Recorder
-	*txtrace.Tracer
-	*qstats.Collector
-}
-
 // report is the -json output document.
 type report struct {
 	Manifest *telemetry.Manifest                 `json:"manifest"`
@@ -135,21 +112,18 @@ func main() {
 	}
 	var srv *live.Server
 	if *listen != "" {
-		var src live.Source = rec
 		endpoints := "/metrics /timeline /progress /healthz"
-		switch {
-		case spans != nil && qc != nil:
-			src = observedSource{rec, spans, qc}
-			endpoints += " /traces /bottlenecks"
-		case spans != nil:
-			src = spannedSource{rec, spans}
+		var extra []live.Endpoint
+		if spans != nil {
+			extra = append(extra, live.Endpoint{Path: "/traces", Write: spans.WriteTraces})
 			endpoints += " /traces"
-		case qc != nil:
-			src = queuedSource{rec, qc}
+		}
+		if qc != nil {
+			extra = append(extra, live.Endpoint{Path: "/bottlenecks", Write: qc.WriteBottlenecks})
 			endpoints += " /bottlenecks"
 		}
 		var err error
-		srv, err = live.Serve(*listen, src)
+		srv, err = live.Serve(*listen, rec, extra...)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -50,6 +50,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -61,33 +62,13 @@ import (
 	"odbscale/internal/campaign"
 	"odbscale/internal/engine"
 	"odbscale/internal/experiment"
+	"odbscale/internal/observe"
 	"odbscale/internal/profile"
 	"odbscale/internal/qstats"
 	"odbscale/internal/system"
 	"odbscale/internal/telemetry"
 	"odbscale/internal/txtrace"
 )
-
-// flightSource combines the campaign flight recorder with the profile
-// store so the live server exposes /profile next to the flight
-// endpoints.
-type flightSource struct {
-	*telemetry.CampaignRecorder
-	*profile.Store
-}
-
-// spanSource adds the span-trace store, exposing /traces as well.
-type spanSource struct {
-	live.Source
-	*txtrace.Store
-}
-
-// qstatSource adds the queueing-observatory store, exposing
-// /bottlenecks as well.
-type qstatSource struct {
-	live.Source
-	*qstats.Store
-}
 
 func parseInts(s string) []int {
 	var out []int
@@ -169,40 +150,39 @@ func main() {
 	}
 	spec.Observer = campaign.Observers(observers...)
 
-	var profiles *profile.Store
+	var (
+		profiles *observe.Artifact[*profile.Profile]
+		spans    *observe.Artifact[*txtrace.Dump]
+		stations *observe.Artifact[*qstats.Report]
+		dirs     []artifactDir
+	)
 	if *profileFlag || *profileDir != "" {
-		profiles = profile.NewStore()
-		spec.Profiles = profiles
+		profiles = observe.Profiles()
+		spec.Observe = append(spec.Observe, profiles)
+		dirs = append(dirs, dirOf(profiles.Store, *profileDir, "profiles", (*profile.Profile).Encode))
 	}
-	var spans *txtrace.Store
 	if *spansFlag || *spanDir != "" {
-		spans = txtrace.NewStore(txtrace.Config{})
-		spec.Spans = spans
+		spans = observe.Spans(txtrace.Config{})
+		spec.Observe = append(spec.Observe, spans)
+		dirs = append(dirs, dirOf(spans.Store, *spanDir, "trace dumps", (*txtrace.Dump).Write))
 	}
-	var stations *qstats.Store
 	if *qstatsFlag || *qstatsDir != "" {
-		stations = qstats.NewStore()
-		spec.QueueStats = stations
+		stations = observe.QStats()
+		spec.Observe = append(spec.Observe, stations)
+		dirs = append(dirs, dirOf(stations.Store, *qstatsDir, "station reports", (*qstats.Report).WriteJSON))
 	}
 
 	if *listen != "" {
 		flight := telemetry.NewCampaignRecorder(telemetry.Config{})
 		spec.Flight = flight
-		var src live.Source = flight
 		endpoints := "/metrics /timeline /progress"
-		if profiles != nil {
-			src = flightSource{flight, profiles}
-			endpoints += " /profile"
+		var extra []live.Endpoint
+		for _, k := range spec.Observe {
+			path, write := k.Endpoint()
+			extra = append(extra, live.Endpoint{Path: path, Write: write})
+			endpoints += " " + path
 		}
-		if spans != nil {
-			src = spanSource{src, spans}
-			endpoints += " /traces"
-		}
-		if stations != nil {
-			src = qstatSource{src, stations}
-			endpoints += " /bottlenecks"
-		}
-		srv, err := live.Serve(*listen, src)
+		srv, err := live.Serve(*listen, flight, extra...)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -247,46 +227,67 @@ func main() {
 		}
 	}
 
-	if profiles != nil {
-		emitProfiles(profiles, warehouses, processors, *profileDir)
-	}
-	if spans != nil {
-		emitSpans(spans, warehouses, processors, *spanDir)
-	}
-	if stations != nil {
-		emitQStats(stations, warehouses, processors, *qstatsDir)
-	}
-}
-
-// emitProfiles post-processes the campaign's profile store: optionally
-// write each point's profile JSON to dir, then print the attribution
-// shift across the cached-to-scaled pivot — the smallest-W point diffed
-// against the largest-W one — for each processor lane.
-func emitProfiles(st *profile.Store, warehouses, processors []int, dir string) {
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			log.Fatal(err)
-		}
-		for _, key := range st.Keys() {
-			p := st.Get(key)
-			name := strings.NewReplacer("=", "", ",", "-").Replace(key) + ".json"
-			f, err := os.Create(filepath.Join(dir, name))
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := p.Encode(f); err != nil {
-				f.Close()
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-		}
-		log.Printf("wrote %d profiles to %s", len(st.Keys()), dir)
+	for _, d := range dirs {
+		d.write()
 	}
 	if len(warehouses) < 2 {
 		return
 	}
+	if profiles != nil {
+		emitProfiles(profiles.Store, warehouses, processors)
+	}
+	if spans != nil {
+		emitSpans(spans.Store, warehouses, processors)
+	}
+	if stations != nil {
+		emitQStats(stations.Store, warehouses, processors)
+	}
+}
+
+// artifactDir is one observer's -*dir: when dir is set, every point's
+// artifact is written there as <point>.json for offline analysis.
+type artifactDir struct {
+	dir, what string
+	keys      func() []string
+	encode    func(key string, w io.Writer) error
+}
+
+// dirOf binds an observer's store and its artifact encoder to a
+// directory.
+func dirOf[T any](st *observe.Store[T], dir, what string, encode func(T, io.Writer) error) artifactDir {
+	return artifactDir{dir: dir, what: what, keys: st.Keys,
+		encode: func(key string, w io.Writer) error { return encode(st.Get(key), w) }}
+}
+
+func (d artifactDir) write() {
+	if d.dir == "" {
+		return
+	}
+	if err := os.MkdirAll(d.dir, 0o755); err != nil {
+		log.Fatal(err)
+	}
+	keys := d.keys()
+	for _, key := range keys {
+		name := strings.NewReplacer("=", "", ",", "-").Replace(key) + ".json"
+		f, err := os.Create(filepath.Join(d.dir, name))
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := d.encode(key, f); err != nil {
+			f.Close()
+			log.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			log.Fatal(err)
+		}
+	}
+	log.Printf("wrote %d %s to %s", len(keys), d.what, d.dir)
+}
+
+// emitProfiles prints the attribution shift across the cached-to-scaled
+// pivot — the smallest-W profile diffed against the largest-W one — for
+// each processor lane.
+func emitProfiles(st *observe.Store[*profile.Profile], warehouses, processors []int) {
 	for _, p := range processors {
 		lo := st.Get(telemetry.PointName(warehouses[0], p))
 		hi := st.Get(telemetry.PointName(warehouses[len(warehouses)-1], p))
@@ -301,34 +302,9 @@ func emitProfiles(st *profile.Store, warehouses, processors []int, dir string) {
 	}
 }
 
-// emitSpans post-processes the campaign's span-trace store: optionally
-// write each point's dump JSON to dir, then print the wait-state shift
-// across the pivot for each processor lane.
-func emitSpans(st *txtrace.Store, warehouses, processors []int, dir string) {
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			log.Fatal(err)
-		}
-		for _, key := range st.Keys() {
-			d := st.Get(key)
-			name := strings.NewReplacer("=", "", ",", "-").Replace(key) + ".json"
-			f, err := os.Create(filepath.Join(dir, name))
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := d.Write(f); err != nil {
-				f.Close()
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-		}
-		log.Printf("wrote %d trace dumps to %s", len(st.Keys()), dir)
-	}
-	if len(warehouses) < 2 {
-		return
-	}
+// emitSpans prints the wait-state shift across the pivot for each
+// processor lane.
+func emitSpans(st *observe.Store[*txtrace.Dump], warehouses, processors []int) {
 	for _, p := range processors {
 		lo := st.Get(telemetry.PointName(warehouses[0], p))
 		hi := st.Get(telemetry.PointName(warehouses[len(warehouses)-1], p))
@@ -343,35 +319,9 @@ func emitSpans(st *txtrace.Store, warehouses, processors []int, dir string) {
 	}
 }
 
-// emitQStats post-processes the campaign's station-report store:
-// optionally write each point's report JSON to dir, then print the
-// bottleneck-shift table — wait demand per station down the warehouse
-// sweep — for each processor lane.
-func emitQStats(st *qstats.Store, warehouses, processors []int, dir string) {
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			log.Fatal(err)
-		}
-		for _, key := range st.Keys() {
-			r := st.Get(key)
-			name := strings.NewReplacer("=", "", ",", "-").Replace(key) + ".json"
-			f, err := os.Create(filepath.Join(dir, name))
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := r.WriteJSON(f); err != nil {
-				f.Close()
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-		}
-		log.Printf("wrote %d station reports to %s", len(st.Keys()), dir)
-	}
-	if len(warehouses) < 2 {
-		return
-	}
+// emitQStats prints the bottleneck-shift table — wait demand per
+// station down the warehouse sweep — for each processor lane.
+func emitQStats(st *observe.Store[*qstats.Report], warehouses, processors []int) {
 	for _, p := range processors {
 		var reports []*qstats.Report
 		for _, w := range warehouses {

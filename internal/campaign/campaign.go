@@ -15,6 +15,7 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -22,11 +23,9 @@ import (
 	"time"
 
 	"odbscale/internal/clock"
-	"odbscale/internal/profile"
-	"odbscale/internal/qstats"
+	"odbscale/internal/observe"
 	"odbscale/internal/system"
 	"odbscale/internal/telemetry"
-	"odbscale/internal/txtrace"
 )
 
 // Spec describes one campaign: the platform and measurement lengths,
@@ -86,40 +85,23 @@ type Spec struct {
 	// Observer receives progress events; nil means none.
 	Observer Observer
 
-	// Flight, when set, turns on the flight recorder: every measurement
-	// run executes under system.Run with WithRecorder feeding a per-run telemetry
-	// recorder, finished runs merge their latency histograms and retain
-	// their timelines in Flight, and a flight observer keeps Flight's
-	// campaign progress current for the live HTTP endpoints. When a
-	// CheckpointPath is set, a run manifest is written next to it at
-	// campaign start and again at completion.
+	// Flight, when set, turns on the campaign flight recorder: every
+	// measurement run feeds a per-run telemetry recorder (the "hists"
+	// kind, registered by the runner ahead of Observe), finished runs
+	// merge their latency histograms and retain their timelines in
+	// Flight, and a flight observer keeps Flight's campaign progress
+	// current for the live HTTP endpoints. When a CheckpointPath is set,
+	// a run manifest is written next to it at campaign start and again
+	// at completion.
 	Flight *telemetry.CampaignRecorder
 
-	// Profiles, when set, turns on the cycle-attribution profiler: every
-	// measurement run executes under system.Run with WithProfiler and a fresh
-	// collector (alongside the flight recorder when Flight is also set),
-	// and each finished point's profile lands in Profiles under its
-	// telemetry.PointName key. With a CheckpointPath the profile — and
-	// the run's latency histograms — persist in the checkpoint, so a
-	// resumed campaign restores them instead of losing them.
-	Profiles *profile.Store
-
-	// Spans, when set, turns on the per-transaction span tracer: every
-	// measurement run executes under system.Run with WithSpans and a
-	// fresh tracer built from the store's sampling configuration
-	// (alongside the flight recorder and profiler when those are also
-	// set), and each finished point's trace dump lands in Spans under
-	// its telemetry.PointName key. With a CheckpointPath the dump
-	// persists in the checkpoint and survives resume.
-	Spans *txtrace.Store
-
-	// QueueStats, when set, turns on the queueing observatory: every
-	// measurement run executes under system.Run with WithQueueStats and
-	// a fresh collector (alongside the other observers when set), and
-	// each finished point's station report lands in QueueStats under its
-	// telemetry.PointName key. With a CheckpointPath the report persists
-	// in the checkpoint and survives resume.
-	QueueStats *qstats.Store
+	// Observe lists the per-point observers: every measurement run
+	// executes under system.Run with each kind attached, and each
+	// finished point's artifacts persist in the checkpoint under their
+	// kind names, so a resumed campaign restores them instead of losing
+	// them. A checkpointed point lacking an artifact of a listed kind is
+	// measured again.
+	Observe []observe.Kind
 }
 
 // fingerprint reduces the spec to its run-defining parameters.
@@ -207,81 +189,17 @@ func (r *Result) Series(p int) []system.Metrics {
 // RunFunc is the simulator entry point a Runner drives.
 type RunFunc func(ctx context.Context, cfg system.Config) (system.Metrics, error)
 
-// The default entry points all route through the one system.Run API,
-// differing only in which observers they attach.
 func defaultRun(ctx context.Context, cfg system.Config) (system.Metrics, error) {
 	return system.Run(ctx, cfg)
 }
 
-func defaultFlightRun(ctx context.Context, cfg system.Config, rec *telemetry.Recorder) (system.Metrics, error) {
-	return system.Run(ctx, cfg, system.WithRecorder(rec))
-}
-
-func defaultProfiledRun(ctx context.Context, cfg system.Config, rec *telemetry.Recorder, col *profile.Collector) (system.Metrics, error) {
-	return system.Run(ctx, cfg, system.WithRecorder(rec), system.WithProfiler(col))
-}
-
-func defaultSpannedRun(ctx context.Context, cfg system.Config, rec *telemetry.Recorder,
-	col *profile.Collector, tr *txtrace.Tracer) (system.Metrics, error) {
-	opts := make([]system.Option, 0, 3)
-	if rec != nil {
-		opts = append(opts, system.WithRecorder(rec))
-	}
-	if col != nil {
-		opts = append(opts, system.WithProfiler(col))
-	}
-	opts = append(opts, system.WithSpans(tr))
-	return system.Run(ctx, cfg, opts...)
-}
-
-func defaultObservedRun(ctx context.Context, cfg system.Config, rec *telemetry.Recorder,
-	col *profile.Collector, tr *txtrace.Tracer, qc *qstats.Collector) (system.Metrics, error) {
-	opts := make([]system.Option, 0, 4)
-	if rec != nil {
-		opts = append(opts, system.WithRecorder(rec))
-	}
-	if col != nil {
-		opts = append(opts, system.WithProfiler(col))
-	}
-	if tr != nil {
-		opts = append(opts, system.WithSpans(tr))
-	}
-	opts = append(opts, system.WithQueueStats(qc))
-	return system.Run(ctx, cfg, opts...)
-}
-
 // Runner executes campaigns. The zero value with a Spec is ready to
-// use; RunFunc may be overridden to interpose on simulator runs (tests,
-// caching layers).
+// use; RunFunc may be overridden to interpose on tuner probes and on
+// the measurement runs of unobserved points (tests, caching layers).
+// A point with observers attached always runs under system.Run.
 type Runner struct {
 	Spec    Spec
 	RunFunc RunFunc // nil means system.Run
-
-	// FlightFunc is the recorded-run entry point used for measurement
-	// runs when Spec.Flight is set; nil means system.Run with
-	// WithRecorder. Tests
-	// interpose on it like RunFunc.
-	FlightFunc func(ctx context.Context, cfg system.Config, rec *telemetry.Recorder) (system.Metrics, error)
-
-	// ProfiledFunc is the profiled-run entry point used for measurement
-	// runs when Spec.Profiles is set; nil means system.Run with
-	// WithRecorder and WithProfiler. The
-	// recorder argument is nil unless Spec.Flight is also set.
-	ProfiledFunc func(ctx context.Context, cfg system.Config, rec *telemetry.Recorder, col *profile.Collector) (system.Metrics, error)
-
-	// SpannedFunc is the span-traced entry point used for measurement
-	// runs when Spec.Spans is set; nil means system.Run with WithSpans
-	// (plus WithRecorder / WithProfiler for the non-nil observers). The
-	// recorder is nil unless Spec.Flight is also set, the collector nil
-	// unless Spec.Profiles is.
-	SpannedFunc func(ctx context.Context, cfg system.Config, rec *telemetry.Recorder, col *profile.Collector, tr *txtrace.Tracer) (system.Metrics, error)
-
-	// QStatsFunc is the observatory entry point used for measurement
-	// runs when Spec.QueueStats is set; nil means system.Run with
-	// WithQueueStats (plus WithRecorder / WithProfiler / WithSpans for
-	// the non-nil observers). The recorder, collector and tracer are nil
-	// unless Spec.Flight / Spec.Profiles / Spec.Spans are.
-	QStatsFunc func(ctx context.Context, cfg system.Config, rec *telemetry.Recorder, col *profile.Collector, tr *txtrace.Tracer, qc *qstats.Collector) (system.Metrics, error)
 
 	// Clock supplies the wall time behind the Elapsed fields of
 	// progress events; nil means the real clock. Simulated results
@@ -403,9 +321,11 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	if obs == nil {
 		obs = noop{}
 	}
+	kinds := spec.Observe
 	if spec.Flight != nil {
 		spec.Flight.SetTotalPoints(len(spec.Warehouses) * len(spec.Processors))
 		obs = Observers(obs, NewFlightObserver(spec.Flight))
+		kinds = append([]observe.Kind{observe.Hists(spec.Flight)}, kinds...)
 	}
 	ck, err := newCKStore(spec)
 	if err != nil {
@@ -454,7 +374,7 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			r.lane(ctx, p, pl, ck, em, runFn, &wg, fail, record)
+			r.lane(ctx, p, pl, ck, em, runFn, kinds, &wg, fail, record)
 		}(p)
 	}
 	wg.Wait()
@@ -478,8 +398,8 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 // resume or tune each point sequentially (so warm starts and probe
 // memoization see the previous point), then hand the measurement run to
 // the pool and move on while it simulates.
-func (r *Runner) lane(ctx context.Context, p int, pl *pool, ck *ckStore, em *emitter,
-	runFn RunFunc, wg *sync.WaitGroup, fail func(error), record func(PointKey, system.Metrics)) {
+func (r *Runner) lane(ctx context.Context, p int, pl *pool, ck *ckStore, em *emitter, runFn RunFunc,
+	kinds []observe.Kind, wg *sync.WaitGroup, fail func(error), record func(PointKey, system.Metrics)) {
 	spec := &r.Spec
 	clk := r.clock()
 	prevW, floor := -1, spec.MinClients
@@ -489,25 +409,13 @@ func (r *Runner) lane(ctx context.Context, p int, pl *pool, ck *ckStore, em *emi
 			return
 		}
 		key := PointKey{W: w, P: p}
-		if pt, ok := ck.point(key); ok {
-			if pt.Flight != nil {
-				name := telemetry.PointName(w, p)
-				if spec.Flight != nil && len(pt.Flight.Hists) > 0 {
-					hists, err := decodeHists(pt.Flight.Hists)
-					if err != nil {
-						fail(fmt.Errorf("campaign: restoring W=%d P=%d: %w", w, p, err))
-						return
-					}
-					spec.Flight.RestoreRun(name, hists)
-				}
-				if spec.Profiles != nil && pt.Flight.Profile != nil {
-					spec.Profiles.Put(name, pt.Flight.Profile)
-				}
-				if spec.Spans != nil && pt.Flight.Spans != nil {
-					spec.Spans.Put(name, pt.Flight.Spans)
-				}
-				if spec.QueueStats != nil && pt.Flight.QStats != nil {
-					spec.QueueStats.Put(name, pt.Flight.QStats)
+		name := telemetry.PointName(w, p)
+		pt, done := ck.point(key)
+		if done && hasArtifacts(pt, kinds) {
+			for _, k := range kinds {
+				if err := k.Restore(name, pt.Flight[k.Name()]); err != nil {
+					fail(fmt.Errorf("campaign: restoring W=%d P=%d: %w", w, p, err))
+					return
 				}
 			}
 			em.pointFinished(PointResult{
@@ -524,24 +432,32 @@ func (r *Runner) lane(ctx context.Context, p int, pl *pool, ck *ckStore, em *emi
 		}
 
 		c := spec.Clients
-		if c <= 0 {
-			if spec.AutoTune {
-				start := spec.MinClients
-				if spec.WarmStart && w >= prevW {
-					start = floor
-				}
-				tuned, err := r.tunePoint(ctx, pl, ck, em, runFn, w, p, start)
-				if err != nil {
-					fail(fmt.Errorf("campaign: tuning W=%d P=%d: %w", w, p, err))
-					return
-				}
-				c = tuned
-				if spec.WarmStart && w >= prevW && c > floor {
-					floor = c
-				}
-			} else {
-				c = system.HeuristicClients(w, p)
+		switch {
+		case done:
+			// Completed, but without an artifact a kind now asks for:
+			// measure again at the checkpointed client count. Observers
+			// are observation-only, so the metrics come out identical.
+			c = pt.C
+			if spec.WarmStart && w >= prevW && c > floor {
+				floor = c
 			}
+		case c > 0:
+		case spec.AutoTune:
+			start := spec.MinClients
+			if spec.WarmStart && w >= prevW {
+				start = floor
+			}
+			tuned, err := r.tunePoint(ctx, pl, ck, em, runFn, w, p, start)
+			if err != nil {
+				fail(fmt.Errorf("campaign: tuning W=%d P=%d: %w", w, p, err))
+				return
+			}
+			c = tuned
+			if spec.WarmStart && w >= prevW && c > floor {
+				floor = c
+			}
+		default:
+			c = system.HeuristicClients(w, p)
 		}
 		prevW = w
 
@@ -552,80 +468,15 @@ func (r *Runner) lane(ctx context.Context, p int, pl *pool, ck *ckStore, em *emi
 			em.pointStarted(point)
 			t0 := clk.Now()
 			cfg := spec.config(w, c, p, spec.MeasureTxns)
-			name := telemetry.PointName(w, p)
-			var m system.Metrics
-			var err error
-			var rec *telemetry.Recorder
-			var col *profile.Collector
-			var tr *txtrace.Tracer
-			var qc *qstats.Collector
-			switch {
-			case spec.QueueStats != nil:
-				obsFn := r.QStatsFunc
-				if obsFn == nil {
-					obsFn = defaultObservedRun
-				}
-				if fl := spec.Flight; fl != nil {
-					rec = fl.StartRun(name)
-				}
-				if spec.Profiles != nil {
-					col = profile.NewCollector()
-				}
-				if spec.Spans != nil {
-					tr = spec.Spans.NewTracer()
-				}
-				qc = qstats.NewCollector()
-				m, err = pl.do(ctx, func(ctx context.Context) (system.Metrics, error) {
-					return obsFn(ctx, cfg, rec, col, tr, qc)
-				})
-				if fl := spec.Flight; fl != nil {
-					fl.FinishRun(name, err == nil)
-				}
-			case spec.Spans != nil:
-				spanFn := r.SpannedFunc
-				if spanFn == nil {
-					spanFn = defaultSpannedRun
-				}
-				if fl := spec.Flight; fl != nil {
-					rec = fl.StartRun(name)
-				}
-				if spec.Profiles != nil {
-					col = profile.NewCollector()
-				}
-				tr = spec.Spans.NewTracer()
-				m, err = pl.do(ctx, func(ctx context.Context) (system.Metrics, error) {
-					return spanFn(ctx, cfg, rec, col, tr)
-				})
-				if fl := spec.Flight; fl != nil {
-					fl.FinishRun(name, err == nil)
-				}
-			case spec.Profiles != nil:
-				profFn := r.ProfiledFunc
-				if profFn == nil {
-					profFn = defaultProfiledRun
-				}
-				if fl := spec.Flight; fl != nil {
-					rec = fl.StartRun(name)
-				}
-				col = profile.NewCollector()
-				m, err = pl.do(ctx, func(ctx context.Context) (system.Metrics, error) {
-					return profFn(ctx, cfg, rec, col)
-				})
-				if fl := spec.Flight; fl != nil {
-					fl.FinishRun(name, err == nil)
-				}
-			case spec.Flight != nil:
-				flightFn := r.FlightFunc
-				if flightFn == nil {
-					flightFn = defaultFlightRun
-				}
-				rec = spec.Flight.StartRun(name)
-				m, err = pl.do(ctx, func(ctx context.Context) (system.Metrics, error) {
-					return flightFn(ctx, cfg, rec)
-				})
-				spec.Flight.FinishRun(name, err == nil)
-			default:
+			var (
+				m        system.Metrics
+				err      error
+				artifact map[string]json.RawMessage
+			)
+			if len(kinds) == 0 {
 				m, err = pl.run(ctx, runFn, cfg)
+			} else {
+				m, artifact, err = observed(ctx, pl, kinds, name, cfg)
 			}
 			elapsed := clk.Since(t0)
 			if err != nil {
@@ -633,42 +484,51 @@ func (r *Runner) lane(ctx context.Context, p int, pl *pool, ck *ckStore, em *emi
 				fail(fmt.Errorf("campaign: W=%d P=%d: %w", w, p, err))
 				return
 			}
-			// Persist the point's observability payload alongside its
-			// metrics so a resumed campaign restores rather than loses it.
-			var pf *PointFlight
-			if rec != nil || col != nil || tr != nil || qc != nil {
-				pf = &PointFlight{}
-				if rec != nil {
-					pf.Hists = encodeHists(rec.Histograms())
-				}
-				if col != nil {
-					prof := col.Profile()
-					prof.Meta.Label = name
-					spec.Profiles.Put(name, prof)
-					pf.Profile = prof
-				}
-				if tr != nil {
-					d := tr.Dump()
-					d.Meta.Label = name
-					spec.Spans.Put(name, d)
-					pf.Spans = d
-				}
-				if qc != nil {
-					rep := qc.Report()
-					if rep != nil {
-						rep.Meta.Label = name
-						spec.QueueStats.Put(name, rep)
-						pf.QStats = rep
-					}
-				}
-			}
 			em.pointFinished(PointResult{Point: point, Metrics: m, Elapsed: elapsed})
 			record(PointKey{W: w, P: p}, m)
-			if err := ck.addPoint(w, p, c, m, pf); err != nil {
+			if err := ck.addPoint(w, p, c, m, artifact); err != nil {
 				fail(fmt.Errorf("campaign: checkpointing W=%d P=%d: %w", w, p, err))
 			}
 		}(w, p, c)
 	}
+}
+
+// hasArtifacts reports whether a checkpointed point carries an artifact
+// of every kind.
+func hasArtifacts(pt CheckpointPoint, kinds []observe.Kind) bool {
+	for _, k := range kinds {
+		if _, ok := pt.Flight[k.Name()]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// observed runs one measurement with every kind attached and collects
+// the point's artifacts, keyed by kind name, for the checkpoint. Every
+// kind is finished, failed runs included, so none leaks a live run.
+func observed(ctx context.Context, pl *pool, kinds []observe.Kind, name string,
+	cfg system.Config) (system.Metrics, map[string]json.RawMessage, error) {
+	opts := make([]system.Option, len(kinds))
+	finish := make([]observe.Finish, len(kinds))
+	for i, k := range kinds {
+		opts[i], finish[i] = k.Attach(name, cfg)
+	}
+	m, err := pl.do(ctx, func(ctx context.Context) (system.Metrics, error) {
+		return system.Run(ctx, cfg, opts...)
+	})
+	ok := err == nil
+	artifact := make(map[string]json.RawMessage, len(kinds))
+	for i, k := range kinds {
+		data, ferr := finish[i](ok)
+		if err == nil {
+			err = ferr
+		}
+		if data != nil {
+			artifact[k.Name()] = data
+		}
+	}
+	return m, artifact, err
 }
 
 // tunePoint finds the point's client count with the memoized,

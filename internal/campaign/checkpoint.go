@@ -1,20 +1,14 @@
 package campaign
 
 import (
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
-	"odbscale/internal/profile"
-	"odbscale/internal/qstats"
 	"odbscale/internal/system"
-	"odbscale/internal/telemetry"
-	"odbscale/internal/txtrace"
 )
 
 // checkpointVersion guards the on-disk format.
@@ -48,55 +42,12 @@ type CheckpointPoint struct {
 	P       int            `json:"p"`
 	C       int            `json:"c"`
 	Metrics system.Metrics `json:"metrics"`
-	// Flight is the point's persisted observability payload, present
-	// when the campaign ran with the flight recorder or the profiler.
-	// Old checkpoints without it still load.
-	Flight *PointFlight `json:"flight,omitempty"`
-}
-
-// PointFlight persists a completed point's observability data so a
-// resumed campaign restores it instead of losing it: the per-type
-// latency histograms (base64 of the mergeable Histogram encoding), the
-// point's cycle-attribution profile, and its span-trace dump.
-type PointFlight struct {
-	Hists   map[string]string `json:"hists,omitempty"`
-	Profile *profile.Profile  `json:"profile,omitempty"`
-	Spans   *txtrace.Dump     `json:"spans,omitempty"`
-	QStats  *qstats.Report    `json:"qstats,omitempty"`
-}
-
-// encodeHists converts a run's histograms to the checkpoint wire form.
-func encodeHists(hists map[string]*telemetry.Histogram) map[string]string {
-	if len(hists) == 0 {
-		return nil
-	}
-	names := make([]string, 0, len(hists))
-	for name := range hists {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make(map[string]string, len(hists))
-	for _, name := range names {
-		out[name] = base64.StdEncoding.EncodeToString(hists[name].Encode())
-	}
-	return out
-}
-
-// decodeHists reverses encodeHists.
-func decodeHists(enc map[string]string) (map[string]*telemetry.Histogram, error) {
-	out := make(map[string]*telemetry.Histogram, len(enc))
-	for name, s := range enc {
-		data, err := base64.StdEncoding.DecodeString(s)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: histogram %q: %w", name, err)
-		}
-		h, err := telemetry.DecodeHistogram(data)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: histogram %q: %w", name, err)
-		}
-		out[name] = h
-	}
-	return out, nil
+	// Flight persists the point's observability artifacts, keyed by
+	// observe.Kind name ("hists", "profile", "spans", "qstats"), so a
+	// resumed campaign restores them instead of losing them. Present
+	// when the campaign ran with observers; checkpoints without it
+	// still load.
+	Flight map[string]json.RawMessage `json:"flight,omitempty"`
 }
 
 // CheckpointProbe is one completed tuner probe.
@@ -165,7 +116,7 @@ type ckStore struct {
 	mu     sync.Mutex
 	path   string // "" keeps the store in memory only
 	cp     Checkpoint
-	points map[PointKey]CheckpointPoint
+	points map[PointKey]int // index into cp.Points
 	probes map[probeKey]float64
 }
 
@@ -175,7 +126,7 @@ func newCKStore(spec *Spec) (*ckStore, error) {
 	s := &ckStore{
 		path:   spec.CheckpointPath,
 		cp:     Checkpoint{Version: checkpointVersion, Spec: spec.fingerprint()},
-		points: make(map[PointKey]CheckpointPoint),
+		points: make(map[PointKey]int),
 		probes: make(map[probeKey]float64),
 	}
 	if !spec.Resume {
@@ -196,8 +147,8 @@ func newCKStore(spec *Spec) (*ckStore, error) {
 			ErrCheckpointMismatch, cp.Spec, s.cp.Spec)
 	}
 	s.cp = *cp
-	for _, pt := range cp.Points {
-		s.points[PointKey{W: pt.W, P: pt.P}] = pt
+	for i, pt := range cp.Points {
+		s.points[PointKey{W: pt.W, P: pt.P}] = i
 	}
 	for _, pr := range cp.Probes {
 		s.probes[probeKey{pr.W, pr.P, pr.C}] = pr.Util
@@ -208,8 +159,11 @@ func newCKStore(spec *Spec) (*ckStore, error) {
 func (s *ckStore) point(k PointKey) (CheckpointPoint, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	pt, ok := s.points[k]
-	return pt, ok
+	i, ok := s.points[k]
+	if !ok {
+		return CheckpointPoint{}, false
+	}
+	return s.cp.Points[i], true
 }
 
 func (s *ckStore) probe(w, p, c int) (float64, bool) {
@@ -219,12 +173,18 @@ func (s *ckStore) probe(w, p, c int) (float64, bool) {
 	return u, ok
 }
 
-func (s *ckStore) addPoint(w, p, c int, m system.Metrics, fl *PointFlight) error {
+// addPoint records a completed point, replacing the entry of a point
+// measured again for missing artifacts, so each point has one entry.
+func (s *ckStore) addPoint(w, p, c int, m system.Metrics, flight map[string]json.RawMessage) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	pt := CheckpointPoint{W: w, P: p, C: c, Metrics: m, Flight: fl}
-	s.points[PointKey{W: w, P: p}] = pt
-	s.cp.Points = append(s.cp.Points, pt)
+	pt := CheckpointPoint{W: w, P: p, C: c, Metrics: m, Flight: flight}
+	if i, ok := s.points[PointKey{W: w, P: p}]; ok {
+		s.cp.Points[i] = pt
+	} else {
+		s.points[PointKey{W: w, P: p}] = len(s.cp.Points)
+		s.cp.Points = append(s.cp.Points, pt)
+	}
 	return s.persistLocked()
 }
 

@@ -7,13 +7,16 @@ import (
 	"path/filepath"
 	"testing"
 
+	"odbscale/internal/observe"
 	"odbscale/internal/system"
+	"odbscale/internal/telemetry"
 )
 
 // FuzzCheckpointRoundTrip fuzzes the JSON checkpoint decode path with
 // corrupted and truncated input. The resume contract is that a damaged
 // checkpoint errors — it must never panic and never yield a checkpoint
-// that cannot survive a save/load round trip.
+// that cannot survive a save/load round trip — and that every decoded
+// observer payload restores or errors through its kind, never panics.
 func FuzzCheckpointRoundTrip(f *testing.F) {
 	valid := Checkpoint{
 		Version: checkpointVersion,
@@ -37,6 +40,14 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 	f.Add([]byte(``))                                            // empty file
 	f.Add(bytes.Replace(data, []byte(`"w"`), []byte(`"w":`), 1)) // corrupted key
 	f.Add(bytes.Replace(data, []byte(`42`), []byte(`4e999`), 1)) // numeric overflow
+	observed, err := os.ReadFile(filepath.Join("testdata", "observed-v1.ck.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(observed)                                                                    // every kind's payload
+	f.Add(bytes.ReplaceAll(observed, []byte(`"frames"`), []byte(`"frames":null,"x"`))) // reshaped artifacts
+	f.Add(bytes.ReplaceAll(observed, []byte(`": "`), []byte(`": "!`)))                 // damaged base64
+	f.Add([]byte(`{"version":1,"points":[{"w":1,"p":1,"flight":{"hists":null,"profile":null,"spans":{},"qstats":[]}}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -66,6 +77,18 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 			if again.Version != cp.Version || again.Spec != cp.Spec ||
 				len(again.Points) != len(cp.Points) || len(again.Probes) != len(cp.Probes) {
 				t.Fatalf("round trip changed the checkpoint: %+v vs %+v", again, cp)
+			}
+			// Every decoded payload restores or errors through every kind.
+			o := newObservers()
+			kinds := append([]observe.Kind{observe.Hists(o.flight)}, o.kinds...)
+			for _, pt := range cp.Points {
+				for _, k := range kinds {
+					if data, ok := pt.Flight[k.Name()]; ok {
+						if err := k.Restore(telemetry.PointName(pt.W, pt.P), data); err != nil {
+							t.Logf("%s rejected fuzzed payload: %v", k.Name(), err)
+						}
+					}
+				}
 			}
 		}
 

@@ -29,6 +29,7 @@ var determinismScope = map[string]bool{
 	"odbscale/internal/storage":      true,
 	"odbscale/internal/txtrace":      true, // span sampling must be seed-reproducible
 	"odbscale/internal/qstats":       true, // station reports feed checkpointed campaigns
+	"odbscale/internal/observe":      true, // per-point artifacts feed checkpointed campaigns
 }
 
 // Determinism forbids ambient entropy — wall clocks, the global

@@ -132,6 +132,22 @@ func TestEngineScopeCovered(t *testing.T) {
 	}
 }
 
+// TestObserveScopeCovered pins the observer contract into the
+// determinism scope: a kind that read the wall clock or drew ambient
+// entropy while finishing or restoring an artifact would make resumed
+// campaigns diverge from uninterrupted ones.
+func TestObserveScopeCovered(t *testing.T) {
+	const path = "odbscale/internal/observe"
+	if !determinismScope[path] {
+		t.Errorf("%s missing from determinismScope", path)
+	}
+	if got := runFixture(t, "determinism", path); len(got) == 0 {
+		t.Error("determinism corpus produced no findings under internal/observe")
+	} else {
+		checkGolden(t, "determinism", got)
+	}
+}
+
 // TestQStatsScopeCovered pins the queueing-observatory package into the
 // determinism, hot-alloc and hot-path scopes, and checks its corpus: a
 // station accumulator that read the wall clock or drew ambient entropy

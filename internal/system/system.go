@@ -164,13 +164,6 @@ func capSimCycles(cfg Config) sim.Time {
 	return sim.Time(300 * cfg.Machine.FreqHz)
 }
 
-// RunContext executes one configuration, honouring the context.
-//
-// Deprecated: RunContext is Run(ctx, cfg); use Run.
-func RunContext(ctx context.Context, cfg Config) (Metrics, error) {
-	return Run(ctx, cfg)
-}
-
 func build(cfg Config) *machine {
 	t := cfg.Tuning
 	eng := sim.New()

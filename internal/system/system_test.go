@@ -51,7 +51,7 @@ func TestRunContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err := RunContext(ctx, cfg)
+	_, err := Run(ctx, cfg)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -65,21 +65,12 @@ func TestRunContextCancellation(t *testing.T) {
 	dctx, dcancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer dcancel()
 	start = time.Now()
-	_, err = RunContext(dctx, cfg)
+	_, err = Run(dctx, cfg)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 	if elapsed := time.Since(start); elapsed > time.Minute {
 		t.Fatalf("mid-run cancellation took %v", elapsed)
-	}
-
-	a, err := RunContext(context.Background(), fastConfig(25, 10, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := run(t, fastConfig(25, 10, 2))
-	if a.TPS != b.TPS || a.CPI != b.CPI {
-		t.Fatalf("RunContext diverged from Run: %v vs %v", a, b)
 	}
 }
 
@@ -278,10 +269,11 @@ func TestMetricsString(t *testing.T) {
 	}
 }
 
-func TestRunTraced(t *testing.T) {
+func TestRunWithTrace(t *testing.T) {
 	var buf testBuffer
 	cfg := fastConfig(25, 10, 2)
-	m, refs, err := RunTraced(cfg, &buf)
+	var refs uint64
+	m, err := Run(context.Background(), cfg, WithTrace(&buf, &refs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +284,7 @@ func TestRunTraced(t *testing.T) {
 	if want := 6 + int(refs)*10; buf.n != want {
 		t.Fatalf("trace size = %d, want %d", buf.n, want)
 	}
-	if _, _, err := RunTraced(Config{}, &buf); err == nil {
+	if _, err := Run(context.Background(), Config{}, WithTrace(&buf, nil)); err == nil {
 		t.Fatal("bad config accepted")
 	}
 }
