@@ -11,7 +11,10 @@
 // write real bytes (used by the small-scale examples and recovery tests).
 package buffercache
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // BlockID names a database block.
 type BlockID uint64
@@ -41,30 +44,54 @@ func (s Stats) HitRatio() float64 {
 }
 
 // Entry is a cached block. Callers receive entries pinned and must
-// Release them.
+// Release them. Entries live in the cache's arena, and the chains through
+// them link arena indices; once unpinned, an entry may be recycled for
+// another block.
 type Entry struct {
 	ID    BlockID
 	Data  []byte // nil unless payload mode
-	dirty bool
-	pins  int
 	touch uint64 // get-counter value at the last Lookup/Install
+	pins  int32
 
-	prev, next           *Entry // LRU chain
-	dirtyPrev, dirtyNext *Entry // dirty chain (aged order)
-	inDirty              bool
+	prev, next           int32 // LRU chain
+	dirtyPrev, dirtyNext int32 // dirty chain (aged order); holds exactly the dirty entries
+	dirty                bool
 }
 
 // Dirty reports whether the entry has unwritten modifications.
 func (e *Entry) Dirty() bool { return e.dirty }
 
+// none ends a chain of arena indices.
+const none int32 = -1
+
+// slot is one cell of the open-addressed block index. The key is stored
+// inline, so a probe never touches the arena.
+type slot struct {
+	id  BlockID
+	ref int32 // arena index + 1; 0 marks an empty slot
+}
+
+// hashMul is the multiplicative (Fibonacci) hashing constant, 2^64
+// divided by the golden ratio; home keeps the product's top bits.
+const hashMul = 0x9e3779b97f4a7c15
+
 // Cache is the buffer cache.
+//
+// The block index is an open-addressed, linear-probing table with a
+// power-of-two size of at least 4/3 of capacity (load at most 3/4), and
+// it deletes by backward shift, so it never holds tombstones. The
+// entries themselves are carved once, at exactly capacity: arena[:size]
+// is in use, and a full cache recycles each victim's entry for the block
+// that displaces it, so no entry is ever freed without being reused at
+// once and no free list is needed.
 type Cache struct {
 	cfg   Config
-	table map[BlockID]*Entry
+	arena []Entry
+	slots []slot
+	shift uint // 64 - log2(len(slots))
 
-	head, tail           *Entry // head = MRU, tail = LRU
-	dirtyHead, dirtyTail *Entry // dirtyTail = oldest dirty
-	free                 *Entry // recycled entries, chained through next
+	head, tail           int32 // head = MRU, tail = LRU
+	dirtyHead, dirtyTail int32 // dirtyTail = oldest dirty
 	size                 int
 	dirtyCount           int
 
@@ -76,92 +103,144 @@ func New(cfg Config) *Cache {
 	if cfg.Blocks <= 0 {
 		panic("buffercache: non-positive capacity")
 	}
+	if cfg.Blocks > math.MaxInt32 {
+		panic("buffercache: capacity exceeds the arena index range")
+	}
 	if cfg.Payloads && cfg.BlockSize <= 0 {
 		panic("buffercache: payload mode needs a block size")
 	}
-	c := &Cache{cfg: cfg, table: make(map[BlockID]*Entry, cfg.Blocks)}
-	// The cache runs at capacity in steady state, so carve all entries out
-	// of one arena up front and hand them out through the free list.
-	arena := make([]Entry, cfg.Blocks)
-	for i := range arena {
-		arena[i].next = c.free
-		c.free = &arena[i]
+	n, shift := 2, uint(63)
+	for 3*n < 4*cfg.Blocks {
+		n <<= 1
+		shift--
 	}
-	return c
+	return &Cache{
+		cfg:       cfg,
+		arena:     make([]Entry, cfg.Blocks),
+		slots:     make([]slot, n),
+		shift:     shift,
+		head:      none,
+		tail:      none,
+		dirtyHead: none,
+		dirtyTail: none,
+	}
+}
+
+// --- block index ---
+
+// home returns id's preferred slot.
+func (c *Cache) home(id BlockID) int {
+	return int((uint64(id) * hashMul) >> c.shift)
+}
+
+// probe walks id's probe run from its home slot h. It returns the slot
+// holding id and true, or the empty slot that ends the run and false.
+func (c *Cache) probe(h int, id BlockID) (int, bool) {
+	mask := len(c.slots) - 1
+	for i := h; ; i = (i + 1) & mask {
+		s := &c.slots[i]
+		if s.ref == 0 {
+			return i, false
+		}
+		if s.id == id {
+			return i, true
+		}
+	}
+}
+
+// unlink empties slot i by backward-shift deletion: each later entry of
+// the run moves back into the hole unless its home lies cyclically in
+// (hole, its slot], where moving it would put it before its home. It
+// returns the slot that ends up empty.
+func (c *Cache) unlink(i int) int {
+	mask := len(c.slots) - 1
+	for j := (i + 1) & mask; c.slots[j].ref != 0; j = (j + 1) & mask {
+		if h := c.home(c.slots[j].id); (j-h)&mask >= (j-i)&mask {
+			c.slots[i] = c.slots[j]
+			i = j
+		}
+	}
+	c.slots[i] = slot{}
+	return i
+}
+
+// index returns the arena index of a resident entry.
+func (c *Cache) index(e *Entry) int32 {
+	i, _ := c.probe(c.home(e.ID), e.ID)
+	return c.slots[i].ref - 1
 }
 
 // --- intrusive LRU list ---
 
-func (c *Cache) lruRemove(e *Entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
+func (c *Cache) lruRemove(x int32) {
+	e := &c.arena[x]
+	if e.prev != none {
+		c.arena[e.prev].next = e.next
 	} else {
 		c.head = e.next
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
+	if e.next != none {
+		c.arena[e.next].prev = e.prev
 	} else {
 		c.tail = e.prev
 	}
-	e.prev, e.next = nil, nil
 }
 
-func (c *Cache) lruPushFront(e *Entry) {
-	e.prev, e.next = nil, c.head
-	if c.head != nil {
-		c.head.prev = e
+func (c *Cache) lruPushFront(x int32) {
+	e := &c.arena[x]
+	e.prev, e.next = none, c.head
+	if c.head != none {
+		c.arena[c.head].prev = x
 	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
+	c.head = x
+	if c.tail == none {
+		c.tail = x
 	}
 }
 
-func (c *Cache) lruPushBack(e *Entry) {
-	e.prev, e.next = c.tail, nil
-	if c.tail != nil {
-		c.tail.next = e
+func (c *Cache) lruPushBack(x int32) {
+	e := &c.arena[x]
+	e.prev, e.next = c.tail, none
+	if c.tail != none {
+		c.arena[c.tail].next = x
 	}
-	c.tail = e
-	if c.head == nil {
-		c.head = e
+	c.tail = x
+	if c.head == none {
+		c.head = x
 	}
 }
 
 // --- dirty list (append new at head; tail is the oldest) ---
 
-func (c *Cache) dirtyRemove(e *Entry) {
-	if !e.inDirty {
-		return
-	}
-	if e.dirtyPrev != nil {
-		e.dirtyPrev.dirtyNext = e.dirtyNext
+// dirtyRemove takes a dirty entry off the dirty chain and marks it clean.
+func (c *Cache) dirtyRemove(x int32) {
+	e := &c.arena[x]
+	if e.dirtyPrev != none {
+		c.arena[e.dirtyPrev].dirtyNext = e.dirtyNext
 	} else {
 		c.dirtyHead = e.dirtyNext
 	}
-	if e.dirtyNext != nil {
-		e.dirtyNext.dirtyPrev = e.dirtyPrev
+	if e.dirtyNext != none {
+		c.arena[e.dirtyNext].dirtyPrev = e.dirtyPrev
 	} else {
 		c.dirtyTail = e.dirtyPrev
 	}
-	e.dirtyPrev, e.dirtyNext = nil, nil
-	e.inDirty = false
+	e.dirty = false
 	c.dirtyCount--
 }
 
-func (c *Cache) dirtyPushFront(e *Entry) {
-	if e.inDirty {
-		return
+// dirtyPushFront marks a clean entry dirty and chains it as the newest.
+func (c *Cache) dirtyPushFront(x int32) {
+	e := &c.arena[x]
+	e.dirtyPrev, e.dirtyNext = none, c.dirtyHead
+	if c.dirtyHead != none {
+		c.arena[c.dirtyHead].dirtyPrev = x
 	}
-	e.dirtyPrev, e.dirtyNext = nil, c.dirtyHead
-	if c.dirtyHead != nil {
-		c.dirtyHead.dirtyPrev = e
+	c.dirtyHead = x
+	if c.dirtyTail == none {
+		c.dirtyTail = x
 	}
-	c.dirtyHead = e
-	if c.dirtyTail == nil {
-		c.dirtyTail = e
-	}
-	e.inDirty = true
+	e.dirty = true
 	c.dirtyCount++
 }
 
@@ -169,14 +248,18 @@ func (c *Cache) dirtyPushFront(e *Entry) {
 // the block to the MRU position.
 func (c *Cache) Lookup(id BlockID) *Entry {
 	c.stats.Gets++
-	e, ok := c.table[id]
+	i, ok := c.probe(c.home(id), id)
 	if !ok {
 		c.stats.Misses++
 		return nil
 	}
 	c.stats.Hits++
-	c.lruRemove(e)
-	c.lruPushFront(e)
+	x := c.slots[i].ref - 1
+	if x != c.head {
+		c.lruRemove(x)
+		c.lruPushFront(x)
+	}
+	e := &c.arena[x]
 	e.touch = c.stats.Gets
 	e.pins++
 	return e
@@ -200,8 +283,8 @@ type Evicted struct {
 // The second return reports the eviction, if one happened; a dirty victim
 // must be written back by the caller (eviction write).
 //
-// Entry structs are pooled: an evicted block's entry is recycled for the
-// incoming block, so a warmed-up cache installs without allocating. The
+// Entries come from the arena: an evicted block's entry is recycled for
+// the incoming block, so installing never allocates an entry. The
 // victim's payload page (if any) is handed off in Evicted, never reused.
 func (c *Cache) Install(id BlockID) (*Entry, Evicted) {
 	return c.install(id, false)
@@ -214,54 +297,55 @@ func (c *Cache) Install(id BlockID) (*Entry, Evicted) {
 // the next victims and churn among themselves, so a scan longer than
 // the cache cannot flush the transactional working set; a block the
 // workload re-reads is promoted to MRU by the Lookup hit as usual.
-// Everything else (pinning, eviction, entry pooling) matches Install.
+// Everything else (pinning, eviction, entry recycling) matches Install.
 func (c *Cache) InstallScan(id BlockID) (*Entry, Evicted) {
 	return c.install(id, true)
 }
 
 func (c *Cache) install(id BlockID, scan bool) (*Entry, Evicted) {
-	if _, ok := c.table[id]; ok {
+	h := c.home(id)
+	at, ok := c.probe(h, id)
+	if ok {
 		panic(fmt.Sprintf("buffercache: Install of resident block %d", id))
 	}
 	var ev Evicted
-	if c.size >= c.cfg.Blocks {
-		victim := c.tail
-		for victim != nil && victim.pins > 0 {
-			victim = victim.prev
+	x := int32(c.size)
+	if c.size == len(c.arena) {
+		x = c.tail
+		for x != none && c.arena[x].pins > 0 {
+			x = c.arena[x].prev
 		}
-		if victim == nil {
+		if x == none {
 			panic("buffercache: all blocks pinned, cannot install")
 		}
+		victim := &c.arena[x]
 		ev = Evicted{ID: victim.ID, Dirty: victim.dirty, Valid: true, Data: victim.Data}
 		if victim.dirty {
 			c.stats.Writebacks++
-			c.dirtyRemove(victim)
+			c.dirtyRemove(x)
 		}
-		c.lruRemove(victim)
-		delete(c.table, victim.ID)
+		c.lruRemove(x)
+		vs, _ := c.probe(c.home(victim.ID), victim.ID)
+		// The deletion leaves one new hole. Every slot of id's run before
+		// at was occupied, so if the hole lies in that stretch it is now
+		// the first empty slot of the run and the insert goes there.
+		mask := len(c.slots) - 1
+		if hole := c.unlink(vs); (hole-h)&mask < (at-h)&mask {
+			at = hole
+		}
 		c.size--
 		c.stats.Evictions++
-		victim.Data = nil
-		victim.next = c.free
-		c.free = victim
 	}
-	var e *Entry
-	if c.free != nil {
-		e = c.free
-		c.free = e.next
-		*e = Entry{ID: id, pins: 1, touch: c.stats.Gets}
-	} else {
-		//lint:ignore hotalloc arena-miss fallback: allocates only until the entry free list covers capacity, steady state reuses
-		e = &Entry{ID: id, pins: 1, touch: c.stats.Gets}
-	}
+	e := &c.arena[x]
+	*e = Entry{ID: id, pins: 1, touch: c.stats.Gets}
 	if c.cfg.Payloads {
 		e.Data = make([]byte, c.cfg.BlockSize)
 	}
-	c.table[id] = e
+	c.slots[at] = slot{id: id, ref: x + 1}
 	if scan {
-		c.lruPushBack(e)
+		c.lruPushBack(x)
 	} else {
-		c.lruPushFront(e)
+		c.lruPushFront(x)
 	}
 	c.size++
 	return e, ev
@@ -273,8 +357,7 @@ func (c *Cache) MarkDirty(e *Entry) {
 		panic("buffercache: MarkDirty on unpinned entry")
 	}
 	if !e.dirty {
-		e.dirty = true
-		c.dirtyPushFront(e)
+		c.dirtyPushFront(c.index(e))
 	}
 }
 
@@ -304,16 +387,16 @@ func (c *Cache) CleanAged(max int, minAge uint64) []BlockID {
 // DB writer tick) can reuse one scratch buffer across calls.
 func (c *Cache) CleanAgedInto(dst []BlockID, max int, minAge uint64) []BlockID {
 	start := len(dst)
-	e := c.dirtyTail
-	for e != nil && len(dst)-start < max {
+	x := c.dirtyTail
+	for x != none && len(dst)-start < max {
+		e := &c.arena[x]
 		prev := e.dirtyPrev
 		if e.pins == 0 && c.stats.Gets-e.touch >= minAge {
-			e.dirty = false
-			c.dirtyRemove(e)
+			c.dirtyRemove(x)
 			c.stats.Writebacks++
 			dst = append(dst, e.ID)
 		}
-		e = prev
+		x = prev
 	}
 	return dst
 }
@@ -322,16 +405,16 @@ func (c *Cache) CleanAgedInto(dst []BlockID, max int, minAge uint64) []BlockID {
 // (a checkpoint) and returns their IDs.
 func (c *Cache) CleanAllDirty() []BlockID {
 	var out []BlockID
-	e := c.dirtyTail
-	for e != nil {
+	x := c.dirtyTail
+	for x != none {
+		e := &c.arena[x]
 		prev := e.dirtyPrev
 		if e.pins == 0 {
-			e.dirty = false
-			c.dirtyRemove(e)
+			c.dirtyRemove(x)
 			c.stats.Writebacks++
 			out = append(out, e.ID)
 		}
-		e = prev
+		x = prev
 	}
 	return out
 }

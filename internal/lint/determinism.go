@@ -23,7 +23,7 @@ var determinismScope = map[string]bool{
 	"odbscale/internal/telemetry":    true,
 	"odbscale/internal/profile":      true,
 	"odbscale/internal/cache":        true, // incl. the parallel snoop lanes
-	"odbscale/internal/buffercache":  true, // entry arena + free-list pooling
+	"odbscale/internal/buffercache":  true, // entry arena + open-addressed block index
 	"odbscale/internal/xrand":        true, // the seeded entropy source itself
 	"odbscale/internal/bus":          true,
 	"odbscale/internal/storage":      true,

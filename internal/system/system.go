@@ -1,10 +1,11 @@
 package system
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"odbscale/internal/buffercache"
 	"odbscale/internal/bus"
@@ -134,7 +135,8 @@ type ioWaiter struct {
 // the offending values, so match them with errors.Is.
 var (
 	// ErrBadConfig reports a configuration whose warehouse, client or
-	// processor count is not positive.
+	// processor count is not positive, or whose buffer cache holds less
+	// than one block.
 	ErrBadConfig = errors.New("bad configuration")
 	// ErrNoTxns reports a configuration without a positive MeasureTxns.
 	ErrNoTxns = errors.New("MeasureTxns must be positive")
@@ -155,7 +157,16 @@ func validate(cfg Config) error {
 	if _, ok := engine.Lookup(cfg.Engine); !ok {
 		return fmt.Errorf("system: %w: %q (have %v)", ErrBadEngine, cfg.Engine, engine.Names())
 	}
+	if cacheBlocks(cfg) < 1 {
+		return fmt.Errorf("system: %w: BufferCacheMB=%d holds no %d-byte block",
+			ErrBadConfig, cfg.Machine.BufferCacheMB, odb.BlockSize)
+	}
 	return nil
+}
+
+// cacheBlocks is the buffer cache's capacity in blocks.
+func cacheBlocks(cfg Config) int {
+	return cfg.Machine.BufferCacheMB * (1 << 20) / odb.BlockSize
 }
 
 // capSimCycles bounds a run to 300 simulated seconds, so I/O-bound
@@ -172,8 +183,7 @@ func build(cfg Config) *machine {
 	gen := odb.NewGenerator(layout, rng.Split(1))
 	gen.StockLevelScan = t.StockLevelScan
 
-	capBlocks := cfg.Machine.BufferCacheMB * (1 << 20) / odb.BlockSize
-	bc := buffercache.New(buffercache.Config{Blocks: capBlocks})
+	bc := buffercache.New(buffercache.Config{Blocks: cacheBlocks(cfg)})
 
 	diskCfg := cfg.Machine.Disks
 	diskCfg.CyclesPerMS = cfg.Machine.FreqHz / 1e3
@@ -323,40 +333,57 @@ func (m *machine) prefill() {
 		}
 		sample.Recycle(txn)
 	}
-	type bf struct {
+	prefillOrder(freq, base, total, capacity, install)
+	m.bc.ResetStats()
+}
+
+// prefillOrder calls install, in install order, on the blocks that fill a
+// cache of the given capacity from an engine image [base, base+total)
+// too large to fit, given the sampled reference count of each block
+// (sampled blocks may lie outside the image, e.g. in LSM levels). The
+// ranked blocks are the capacity most sampled ones, by count descending
+// then ID ascending. Any remaining capacity goes to unsampled blocks in
+// extent order: classes like customers have near-uniform popularity, so
+// in steady state the cache holds as many of them as fit — which subset
+// does not matter. These install coldest first, then the ranked blocks,
+// least popular first, so the hottest end at the MRU end.
+func prefillOrder(freq map[odb.BlockID]uint32, base odb.BlockID, total, capacity uint64, install func(odb.BlockID)) {
+	type blockFreq struct {
 		b odb.BlockID
 		f uint32
 	}
-	ranked := make([]bf, 0, len(freq))
+	ranked := make([]blockFreq, 0, len(freq))
 	for b, f := range freq {
-		ranked = append(ranked, bf{b, f})
+		ranked = append(ranked, blockFreq{b, f})
 	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].f != ranked[j].f {
-			return ranked[i].f > ranked[j].f
+	if extra := capacity - min(uint64(len(ranked)), capacity); extra > 0 {
+		// Merge the extent against the sampled IDs in ascending order.
+		slices.SortFunc(ranked, func(x, y blockFreq) int { return cmp.Compare(x.b, y.b) })
+		next := 0
+		for b := uint64(0); b < total && extra > 0; b++ {
+			id := base + odb.BlockID(b)
+			for next < len(ranked) && ranked[next].b < id {
+				next++
+			}
+			if next < len(ranked) && ranked[next].b == id {
+				continue
+			}
+			install(id)
+			extra--
 		}
-		return ranked[i].b < ranked[j].b
+	}
+	slices.SortFunc(ranked, func(x, y blockFreq) int {
+		if c := cmp.Compare(y.f, x.f); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.b, y.b)
 	})
 	if uint64(len(ranked)) > capacity {
 		ranked = ranked[:capacity]
 	}
-	// Fill any remaining capacity with unsampled blocks in extent order:
-	// classes like customers have near-uniform popularity, so in steady
-	// state the cache holds as many of them as fit — which subset does
-	// not matter. Install these coldest first, then the ranked blocks,
-	// least popular first, so the hottest end at the MRU end.
-	if extra := capacity - uint64(len(ranked)); extra > 0 {
-		for b := uint64(0); b < total && extra > 0; b++ {
-			if _, seen := freq[base+odb.BlockID(b)]; !seen {
-				install(base + odb.BlockID(b))
-				extra--
-			}
-		}
-	}
 	for i := len(ranked) - 1; i >= 0; i-- {
 		install(ranked[i].b)
 	}
-	m.bc.ResetStats()
 }
 
 // start admits the server processes and the DB writer. Every process gets

@@ -42,6 +42,18 @@ func TestBadConfigRejected(t *testing.T) {
 	}
 }
 
+// TestCacheSmallerThanOneBlockRejected: a buffer cache too small for one
+// block is a configuration error, not a panic in the cache constructor.
+func TestCacheSmallerThanOneBlockRejected(t *testing.T) {
+	for _, mb := range []int{0, -1} {
+		cfg := fastConfig(10, 8, 1)
+		cfg.Machine.BufferCacheMB = mb
+		if _, err := Run(context.Background(), cfg); !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("BufferCacheMB=%d: err = %v, want ErrBadConfig", mb, err)
+		}
+	}
+}
+
 func TestRunContextCancellation(t *testing.T) {
 	cfg := fastConfig(200, 30, 4)
 	cfg.MeasureTxns = 200000 // minutes of simulation if cancellation failed

@@ -12,6 +12,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"sync"
 )
 
 // Rand wraps math/rand with the simulator's distributions. The hot
@@ -126,8 +127,8 @@ func (r *Rand) NURand(a, x, y, c int) int {
 // a time through Next, and for branch sites in batches through NextBatch.
 type Zipf struct {
 	r      *Rand
-	prob   []float64 // scaled acceptance probability per slot
-	alias  []uint32  // fallback item per slot
+	prob   []float64 // scaled acceptance probability per slot (shared, read-only)
+	alias  []uint32  // fallback item per slot (shared, read-only)
 	n      uint64
 	single bool // n == 1: every draw is 0, no stream consumption skew
 }
@@ -136,6 +137,10 @@ type Zipf struct {
 // The pmf matches math/rand's Zipf parameterization: s > 1 is required
 // there, so theta <= 1 maps to s = 1.0001 with a larger v flattening the
 // head to emulate sub-1 skew levels acceptably for cache modelling.
+//
+// The alias table is a pure function of (theta, n), so it is built once
+// per process and shared by every Zipf over the same key; each Zipf
+// draws from its own stream r.
 func NewZipf(r *Rand, theta float64, n uint64) *Zipf {
 	if n == 0 {
 		panic("xrand: Zipf over zero items")
@@ -143,6 +148,53 @@ func NewZipf(r *Rand, theta float64, n uint64) *Zipf {
 	if n > math.MaxUint32 {
 		panic("xrand: Zipf table too large")
 	}
+	z := &Zipf{r: r, n: n, single: n == 1}
+	if !z.single {
+		t := sharedAliasTable(theta, n)
+		z.prob, z.alias = t.prob, t.alias
+	}
+	return z
+}
+
+// aliasTable is the immutable alias table of one (theta, n) pair.
+type aliasTable struct {
+	once  sync.Once
+	prob  []float64
+	alias []uint32
+}
+
+type aliasKey struct {
+	theta uint64 // math.Float64bits(theta)
+	n     uint64
+}
+
+// aliasTables memoizes alias tables process-wide. aliasMu guards only
+// the map; each table is built under its own sync.Once, so builds of
+// different keys proceed in parallel and callers of one key wait for a
+// single build.
+var (
+	aliasMu     sync.Mutex
+	aliasTables = map[aliasKey]*aliasTable{}
+)
+
+// sharedAliasTable returns the memoized table for (theta, n), building it
+// on first use.
+func sharedAliasTable(theta float64, n uint64) *aliasTable {
+	key := aliasKey{math.Float64bits(theta), n}
+	aliasMu.Lock()
+	t := aliasTables[key]
+	if t == nil {
+		t = &aliasTable{}
+		aliasTables[key] = t
+	}
+	aliasMu.Unlock()
+	t.once.Do(func() { t.prob, t.alias = buildAlias(theta, n) })
+	return t
+}
+
+// buildAlias builds the alias table (Vose's method) for n > 1 items
+// weighted w[k] = (v+k)^-s.
+func buildAlias(theta float64, n uint64) ([]float64, []uint32) {
 	s := theta
 	if s <= 1 {
 		s = 1.0001
@@ -151,11 +203,6 @@ func NewZipf(r *Rand, theta float64, n uint64) *Zipf {
 	if theta < 1 {
 		v = 1 + (1-theta)*float64(n)/4
 	}
-	z := &Zipf{r: r, n: n, single: n == 1}
-	if z.single {
-		return z
-	}
-	// Vose's alias method over w[k] = (v+k)^-s.
 	w := make([]float64, n)
 	total := 0.0
 	for k := range w {
@@ -163,8 +210,8 @@ func NewZipf(r *Rand, theta float64, n uint64) *Zipf {
 		total += w[k]
 	}
 	scale := float64(n) / total
-	z.prob = make([]float64, n)
-	z.alias = make([]uint32, n)
+	prob := make([]float64, n)
+	alias := make([]uint32, n)
 	// Partition slots into under- and over-full; process deterministically
 	// in index order so the table (and thus the stream mapping) is stable.
 	small := make([]uint32, 0, n)
@@ -181,8 +228,8 @@ func NewZipf(r *Rand, theta float64, n uint64) *Zipf {
 		s0 := small[len(small)-1]
 		small = small[:len(small)-1]
 		l0 := large[len(large)-1]
-		z.prob[s0] = w[s0]
-		z.alias[s0] = l0
+		prob[s0] = w[s0]
+		alias[s0] = l0
 		w[l0] -= 1 - w[s0]
 		if w[l0] < 1 {
 			large = large[:len(large)-1]
@@ -190,13 +237,13 @@ func NewZipf(r *Rand, theta float64, n uint64) *Zipf {
 		}
 	}
 	for _, k := range large {
-		z.prob[k] = 1
+		prob[k] = 1
 	}
 	for _, k := range small {
 		// Numerical leftovers: slot keeps itself.
-		z.prob[k] = 1
+		prob[k] = 1
 	}
-	return z
+	return prob, alias
 }
 
 // Next returns the next draw.

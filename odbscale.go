@@ -136,7 +136,7 @@ func NewSpanTracer(cfg SpanConfig) *SpanTracer { return txtrace.NewTracer(cfg) }
 // Sentinel configuration errors, matched with errors.Is.
 var (
 	// ErrBadConfig reports a non-positive warehouse, client or processor
-	// count.
+	// count, or a buffer cache smaller than one block.
 	ErrBadConfig = system.ErrBadConfig
 	// ErrNoTxns reports a configuration without a positive MeasureTxns.
 	ErrNoTxns = system.ErrNoTxns
