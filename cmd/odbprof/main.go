@@ -23,142 +23,27 @@
 package main
 
 import (
-	"context"
-	"flag"
 	"fmt"
-	"log"
-	"os"
 
+	"odbscale/cmd/internal/cli"
+	"odbscale/internal/observe"
 	"odbscale/internal/profile"
 	"odbscale/internal/system"
 )
 
+var tool = cli.Tool[*profile.Profile]{
+	Kind: observe.Profiles(), Noun: "profile",
+	Report: (*profile.Profile).WriteCPITable, ReportName: "CPI-breakdown table",
+	Summary: func(p *profile.Profile, m system.Metrics) string {
+		return fmt.Sprintf("%d txns, CPI=%.4f, L3 share=%.1f%%", m.Txns, p.CPI(), p.L3Share()*100)
+	},
+}
+
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("odbprof: ")
-	if len(os.Args) < 2 {
-		usage()
-	}
-	switch os.Args[1] {
-	case "capture":
-		capture(os.Args[2:])
-	case "report":
-		render(os.Args[2:], func(p *profile.Profile) error { return p.WriteCPITable(os.Stdout) })
-	case "folded":
-		render(os.Args[2:], func(p *profile.Profile) error { return p.WriteFolded(os.Stdout) })
-	case "text":
-		render(os.Args[2:], func(p *profile.Profile) error { return p.WriteText(os.Stdout) })
-	case "diff":
-		diff(os.Args[2:])
-	default:
-		usage()
-	}
-}
-
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: odbprof capture|report|folded|text|diff [args]")
-	os.Exit(2)
-}
-
-// capture runs one profiled simulation and writes the profile.
-func capture(args []string) {
-	fs := flag.NewFlagSet("capture", flag.ExitOnError)
-	w := fs.Int("w", 100, "warehouses")
-	c := fs.Int("c", 0, "concurrent clients (0 = heuristic)")
-	p := fs.Int("p", 4, "processors")
-	seed := fs.Int64("seed", 1, "random seed")
-	machine := fs.String("machine", "xeon", "platform: xeon or itanium2")
-	txns := fs.Int("txns", 2400, "measured transactions")
-	warmup := fs.Int("warmup", -1, "warm-up transactions (-1 = default)")
-	out := fs.String("o", "-", "output file for the profile JSON (- = stdout)")
-	report := fs.Bool("report", false, "also print the CPI-breakdown table to stderr")
-	fs.Parse(args)
-
-	clients := *c
-	if clients <= 0 {
-		clients = system.HeuristicClients(*w, *p)
-	}
-	cfg := system.DefaultConfig(*w, clients, *p)
-	cfg.Seed = *seed
-	cfg.MeasureTxns = *txns
-	if *warmup >= 0 {
-		cfg.WarmupTxns = *warmup
-	}
-	switch *machine {
-	case "xeon":
-	case "itanium2":
-		cfg.Machine = system.Itanium2Quad()
-	default:
-		log.Fatalf("unknown machine %q", *machine)
-	}
-
-	col := profile.NewCollector()
-	m, err := system.Run(context.Background(), cfg, system.WithProfiler(col))
-	if err != nil {
-		log.Fatal(err)
-	}
-	prof := col.Profile()
-	prof.Meta.Label = fmt.Sprintf("W=%d,C=%d,P=%d", *w, clients, *p)
-
-	dst := os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		dst = f
-	}
-	if err := prof.Encode(dst); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("captured %s: %d txns, CPI=%.4f, L3 share=%.1f%%",
-		prof.Meta.Label, m.Txns, prof.CPI(), prof.L3Share()*100)
-	if *report {
-		if err := prof.WriteCPITable(os.Stderr); err != nil {
-			log.Fatal(err)
-		}
-	}
-}
-
-// load reads one profile from a path ("-" = stdin).
-func load(path string) *profile.Profile {
-	r := os.Stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		r = f
-	}
-	p, err := profile.Decode(r)
-	if err != nil {
-		log.Fatalf("%s: %v", path, err)
-	}
-	return p
-}
-
-// render applies one output format to a single profile argument.
-func render(args []string, write func(*profile.Profile) error) {
-	if len(args) != 1 {
-		log.Fatal("expected exactly one profile file (or - for stdin)")
-	}
-	if err := write(load(args[0])); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// diff compares two profiles. It always exits 0 on a successful
-// comparison — attribution shifts are findings, not failures — so CI
-// can run it against a golden baseline without breaking on the
-// platform-dependent float drift Go permits across architectures.
-func diff(args []string) {
-	if len(args) != 2 {
-		log.Fatal("expected two profile files")
-	}
-	d := profile.Diff(load(args[0]), load(args[1]))
-	if err := d.Write(os.Stdout); err != nil {
-		log.Fatal(err)
-	}
+	cli.Main("odbprof",
+		cli.Verb{Name: "capture", Run: tool.Capture},
+		cli.Verb{Name: "report", Run: tool.Render(tool.Report)},
+		cli.Verb{Name: "folded", Run: tool.Render((*profile.Profile).WriteFolded)},
+		cli.Verb{Name: "text", Run: tool.Render((*profile.Profile).WriteText)},
+		cli.Verb{Name: "diff", Run: tool.Diff})
 }

@@ -27,108 +27,42 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
-	"path/filepath"
-	"strconv"
 	"strings"
 
+	"odbscale/cmd/internal/cli"
+	"odbscale/internal/observe"
 	"odbscale/internal/qstats"
-	"odbscale/internal/system"
 )
 
+var tool = cli.Tool[*qstats.Report]{Kind: observe.QStats(), Noun: "report"}
+
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("odbq: ")
-	if len(os.Args) < 2 {
-		usage()
-	}
-	switch os.Args[1] {
-	case "report":
-		report(os.Args[2:])
-	case "rank":
-		rank(os.Args[2:])
-	case "diff":
-		diff(os.Args[2:])
-	case "sweep":
-		sweep(os.Args[2:])
-	default:
-		usage()
-	}
-}
-
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: odbq report|rank|diff|sweep [args]")
-	os.Exit(2)
-}
-
-// machineFor resolves the -machine flag.
-func machineFor(name string) system.MachineConfig {
-	switch name {
-	case "xeon":
-		return system.DefaultConfig(1, 1, 1).Machine
-	case "itanium2":
-		return system.Itanium2Quad()
-	}
-	log.Fatalf("unknown machine %q", name)
-	panic("unreachable")
-}
-
-// capture runs one observed simulation and returns its station report.
-func capture(w, c, p int, seed int64, machine, engine string, txns, warmup int) *qstats.Report {
-	clients := c
-	if clients <= 0 {
-		clients = system.HeuristicClients(w, p)
-	}
-	cfg := system.DefaultConfig(w, clients, p)
-	cfg.Seed = seed
-	cfg.Engine = engine
-	cfg.MeasureTxns = txns
-	if warmup >= 0 {
-		cfg.WarmupTxns = warmup
-	}
-	cfg.Machine = machineFor(machine)
-	col := qstats.NewCollector()
-	if _, err := system.Run(context.Background(), cfg, system.WithQueueStats(col)); err != nil {
-		log.Fatal(err)
-	}
-	r := col.Report()
-	if r == nil {
-		log.Fatal("run published no report")
-	}
-	return r
+	cli.Main("odbq",
+		cli.Verb{Name: "report", Run: report},
+		cli.Verb{Name: "rank", Run: tool.Render(writeRank)},
+		cli.Verb{Name: "diff", Run: tool.Diff},
+		cli.Verb{Name: "sweep", Run: sweep})
 }
 
 // report runs one observed simulation and prints the observatory table.
 func report(args []string) {
 	fs := flag.NewFlagSet("report", flag.ExitOnError)
-	w := fs.Int("w", 100, "warehouses")
-	c := fs.Int("c", 0, "concurrent clients (0 = heuristic)")
-	p := fs.Int("p", 4, "processors")
-	seed := fs.Int64("seed", 1, "random seed")
-	machine := fs.String("machine", "xeon", "platform: xeon or itanium2")
+	pt := cli.CaptureFlags(fs)
 	engine := fs.String("engine", "", "storage engine (empty = default B-tree)")
-	txns := fs.Int("txns", 2400, "measured transactions")
-	warmup := fs.Int("warmup", -1, "warm-up transactions (-1 = default)")
 	out := fs.String("o", "", "also write the report JSON to this file (- = stdout)")
 	check := fs.Bool("check", false, "exit 1 on an operational-law violation or empty ranking")
 	fs.Parse(args)
 
-	r := capture(*w, *c, *p, *seed, *machine, *engine, *txns, *warmup)
+	cfg := pt.Config()
+	cfg.Engine = *engine
+	r, _ := cli.Run(tool.Kind, "", cfg)
 	if *out != "" {
-		dst := os.Stdout
-		if *out != "-" {
-			f, err := os.Create(*out)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-			dst = f
-		}
-		if err := r.WriteJSON(dst); err != nil {
+		if err := cli.WritePath(*out, func(w io.Writer) error { return tool.Kind.Encode(r, w) }); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -150,30 +84,8 @@ func report(args []string) {
 	}
 }
 
-// load reads one report from a path ("-" = stdin).
-func load(path string) *qstats.Report {
-	r := os.Stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		r = f
-	}
-	rep, err := qstats.ReadReport(r)
-	if err != nil {
-		log.Fatalf("%s: %v", path, err)
-	}
-	return rep
-}
-
-// rank prints the wait-demand ranking of a saved report.
-func rank(args []string) {
-	if len(args) != 1 {
-		log.Fatal("expected exactly one report file (or - for stdin)")
-	}
-	r := load(args[0])
+// writeRank writes the wait-demand ranking of a report.
+func writeRank(r *qstats.Report, w io.Writer) error {
 	for i, name := range r.Ranking {
 		var d float64
 		for j := range r.Stations {
@@ -182,37 +94,14 @@ func rank(args []string) {
 				break
 			}
 		}
-		fmt.Printf("%2d. %-10s Dwait=%.5fms\n", i+1, name, d)
+		fmt.Fprintf(w, "%2d. %-10s Dwait=%.5fms\n", i+1, name, d)
 	}
-	if r.Bottleneck != "" {
-		fmt.Printf("bottleneck: %s\n", r.Bottleneck)
-	} else {
-		fmt.Println("bottleneck: none")
+	bottleneck := r.Bottleneck
+	if bottleneck == "" {
+		bottleneck = "none"
 	}
-}
-
-// diff compares two saved reports station by station. It always exits 0
-// on a successful comparison — demand shifts are findings, not failures.
-func diff(args []string) {
-	if len(args) != 2 {
-		log.Fatal("expected two report files")
-	}
-	if err := qstats.WriteDiff(os.Stdout, load(args[0]), load(args[1])); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// parseInts parses a comma-separated integer list.
-func parseInts(s, flagName string) []int {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			log.Fatalf("bad -%s entry %q: %v", flagName, f, err)
-		}
-		out = append(out, v)
-	}
-	return out
+	_, err := fmt.Fprintf(w, "bottleneck: %s\n", bottleneck)
+	return err
 }
 
 // sweep measures every warehouse × processor × engine combination and
@@ -229,30 +118,27 @@ func sweep(args []string) {
 	jsonDir := fs.String("json", "", "also write each point's report JSON into this directory")
 	fs.Parse(args)
 
-	ws := parseInts(*wList, "w")
-	ps := parseInts(*pList, "p")
+	ws, ps := cli.ParseInts(*wList, "-w list"), cli.ParseInts(*pList, "-p list")
+	var dir cli.Dir
+	if *jsonDir != "" {
+		dir = cli.MkDir(*jsonDir)
+	}
 	for _, engine := range strings.Split(*engines, ",") {
 		engine = strings.TrimSpace(engine)
-		// The registry's default B-tree is the empty engine name.
-		runEngine := engine
-		if engine == "btree" {
-			runEngine = ""
-		}
 		for _, p := range ps {
 			reports := make([]*qstats.Report, 0, len(ws))
 			for _, w := range ws {
-				r := capture(w, 0, p, *seed, *machine, runEngine, *txns, *warmup)
-				if *jsonDir != "" {
-					path := filepath.Join(*jsonDir, fmt.Sprintf("%s-w%d-p%d.json", engine, w, p))
-					f, err := os.Create(path)
-					if err != nil {
+				cfg := cli.Point{W: w, P: p, Seed: *seed, Machine: *machine, Txns: *txns, Warmup: *warmup}.Config()
+				// The registry's default B-tree is the empty engine name.
+				if engine != "btree" {
+					cfg.Engine = engine
+				}
+				r, _ := cli.Run(tool.Kind, "", cfg)
+				if dir != "" {
+					name := fmt.Sprintf("%s-w%d-p%d", engine, w, p)
+					if err := dir.Write(name, func(out io.Writer) error { return tool.Kind.Encode(r, out) }); err != nil {
 						log.Fatal(err)
 					}
-					if err := r.WriteJSON(f); err != nil {
-						f.Close()
-						log.Fatal(err)
-					}
-					f.Close()
 				}
 				reports = append(reports, r)
 			}

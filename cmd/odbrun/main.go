@@ -41,6 +41,7 @@ import (
 	"strings"
 	"time"
 
+	"odbscale/cmd/internal/cli"
 	"odbscale/cmd/internal/live"
 	"odbscale/internal/engine"
 	"odbscale/internal/qstats"
@@ -93,13 +94,11 @@ func main() {
 		log.Fatalf("-lsmmem %d: memtable must be at least 1 MB", *lsmMem)
 	}
 	cfg.Tuning.LSM.MemtableMB = *lsmMem
-	switch *machine {
-	case "xeon":
-	case "itanium2":
-		cfg.Machine = system.Itanium2Quad()
-	default:
-		log.Fatalf("unknown machine %q", *machine)
+	mc, err := cli.Machine(*machine)
+	if err != nil {
+		log.Fatal(err)
 	}
+	cfg.Machine = mc
 
 	rec := telemetry.NewRecorder(telemetry.Config{SampleIntervalMS: *sampleMS})
 	var spans *txtrace.Tracer
@@ -145,23 +144,12 @@ func main() {
 	wall := time.Since(started)
 
 	if spans != nil {
-		f, err := os.Create(*spansOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := spans.WriteTraces(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := cli.WritePath(*spansOut, spans.WriteTraces); err != nil {
 			log.Fatal(err)
 		}
 	}
 
 	if *timelineOut != "" {
-		f, err := os.Create(*timelineOut)
-		if err != nil {
-			log.Fatal(err)
-		}
 		// The extension picks the encoding: .csv gets the flat table
 		// (one row per sample, stations flattened into columns), any
 		// other path keeps the JSON sample series.
@@ -169,10 +157,7 @@ func main() {
 		if strings.HasSuffix(*timelineOut, ".csv") {
 			dump = rec.WriteTimelineCSV
 		}
-		if err := dump(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := cli.WritePath(*timelineOut, dump); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -182,21 +167,12 @@ func main() {
 		if rep == nil {
 			log.Fatal("qstats: run finished without publishing a station report")
 		}
+		write := rep.WriteJSON
 		if *qstatsOut == "-" {
-			if err := rep.WriteText(os.Stdout); err != nil {
-				log.Fatal(err)
-			}
-		} else {
-			f, err := os.Create(*qstatsOut)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := rep.WriteJSON(f); err != nil {
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
+			write = rep.WriteText
+		}
+		if err := cli.WritePath(*qstatsOut, write); err != nil {
+			log.Fatal(err)
 		}
 	}
 

@@ -25,132 +25,38 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"log"
-	"os"
+	"io"
 
+	"odbscale/cmd/internal/cli"
+	"odbscale/internal/observe"
 	"odbscale/internal/system"
 	"odbscale/internal/txtrace"
 )
 
+var tool = cli.Tool[*txtrace.Dump]{
+	Kind: observe.Spans(txtrace.Config{}), Noun: "trace dump",
+	Report: (*txtrace.Dump).WriteReport, ReportName: "wait-state report",
+	Summary: func(d *txtrace.Dump, m system.Metrics) string {
+		return fmt.Sprintf("%d txns measured, %d traces retained", m.Txns, len(d.Traces))
+	},
+	Flags: func(fs *flag.FlagSet) func() *observe.Artifact[*txtrace.Dump] {
+		head := fs.Int("head", txtrace.DefaultHeadEvery, "head-sample every Nth measured transaction (-1 disables)")
+		tailk := fs.Int("tailk", txtrace.DefaultTailK, "keep the K slowest transactions per type (-1 disables)")
+		return func() *observe.Artifact[*txtrace.Dump] {
+			return observe.Spans(txtrace.Config{HeadEvery: *head, TailK: *tailk})
+		}
+	},
+}
+
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("odbspan: ")
-	if len(os.Args) < 2 {
-		usage()
-	}
-	switch os.Args[1] {
-	case "capture":
-		capture(os.Args[2:])
-	case "report":
-		render(os.Args[2:], func(d *txtrace.Dump) error { return d.WriteReport(os.Stdout) })
-	case "export":
-		render(os.Args[2:], func(d *txtrace.Dump) error { return d.WriteChromeTrace(os.Stdout) })
-	case "top":
-		top(os.Args[2:])
-	case "diff":
-		diff(os.Args[2:])
-	default:
-		usage()
-	}
-}
-
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: odbspan capture|report|export|top|diff [args]")
-	os.Exit(2)
-}
-
-// capture runs one span-traced simulation and writes the dump.
-func capture(args []string) {
-	fs := flag.NewFlagSet("capture", flag.ExitOnError)
-	w := fs.Int("w", 100, "warehouses")
-	c := fs.Int("c", 0, "concurrent clients (0 = heuristic)")
-	p := fs.Int("p", 4, "processors")
-	seed := fs.Int64("seed", 1, "random seed")
-	machine := fs.String("machine", "xeon", "platform: xeon or itanium2")
-	txns := fs.Int("txns", 2400, "measured transactions")
-	warmup := fs.Int("warmup", -1, "warm-up transactions (-1 = default)")
-	head := fs.Int("head", txtrace.DefaultHeadEvery, "head-sample every Nth measured transaction (-1 disables)")
-	tailk := fs.Int("tailk", txtrace.DefaultTailK, "keep the K slowest transactions per type (-1 disables)")
-	out := fs.String("o", "-", "output file for the trace dump JSON (- = stdout)")
-	report := fs.Bool("report", false, "also print the wait-state report to stderr")
-	fs.Parse(args)
-
-	clients := *c
-	if clients <= 0 {
-		clients = system.HeuristicClients(*w, *p)
-	}
-	cfg := system.DefaultConfig(*w, clients, *p)
-	cfg.Seed = *seed
-	cfg.MeasureTxns = *txns
-	if *warmup >= 0 {
-		cfg.WarmupTxns = *warmup
-	}
-	switch *machine {
-	case "xeon":
-	case "itanium2":
-		cfg.Machine = system.Itanium2Quad()
-	default:
-		log.Fatalf("unknown machine %q", *machine)
-	}
-
-	tr := txtrace.NewTracer(txtrace.Config{HeadEvery: *head, TailK: *tailk})
-	m, err := system.Run(context.Background(), cfg, system.WithSpans(tr))
-	if err != nil {
-		log.Fatal(err)
-	}
-	d := tr.Dump()
-	d.Meta.Label = fmt.Sprintf("W=%d,C=%d,P=%d", *w, clients, *p)
-
-	dst := os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		dst = f
-	}
-	if err := d.Write(dst); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("captured %s: %d txns measured, %d traces retained",
-		d.Meta.Label, m.Txns, len(d.Traces))
-	if *report {
-		if err := d.WriteReport(os.Stderr); err != nil {
-			log.Fatal(err)
-		}
-	}
-}
-
-// load reads one trace dump from a path ("-" = stdin).
-func load(path string) *txtrace.Dump {
-	r := os.Stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		r = f
-	}
-	d, err := txtrace.ReadDump(r)
-	if err != nil {
-		log.Fatalf("%s: %v", path, err)
-	}
-	return d
-}
-
-// render applies one output format to a single dump argument.
-func render(args []string, write func(*txtrace.Dump) error) {
-	if len(args) != 1 {
-		log.Fatal("expected exactly one trace dump file (or - for stdin)")
-	}
-	if err := write(load(args[0])); err != nil {
-		log.Fatal(err)
-	}
+	cli.Main("odbspan",
+		cli.Verb{Name: "capture", Run: tool.Capture},
+		cli.Verb{Name: "report", Run: tool.Render(tool.Report)},
+		cli.Verb{Name: "export", Run: tool.Render((*txtrace.Dump).WriteChromeTrace)},
+		cli.Verb{Name: "top", Run: top},
+		cli.Verb{Name: "diff", Run: tool.Diff})
 }
 
 // top lists the N slowest retained traces with their critical paths.
@@ -158,22 +64,5 @@ func top(args []string) {
 	fs := flag.NewFlagSet("top", flag.ExitOnError)
 	n := fs.Int("n", 10, "number of traces to list")
 	fs.Parse(args)
-	if fs.NArg() != 1 {
-		log.Fatal("expected exactly one trace dump file (or - for stdin)")
-	}
-	if err := load(fs.Arg(0)).WriteTop(os.Stdout, *n); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// diff compares two dumps per transaction type. It always exits 0 on a
-// successful comparison — wait-state shifts are findings, not failures
-// — so CI can run it against a golden baseline.
-func diff(args []string) {
-	if len(args) != 2 {
-		log.Fatal("expected two trace dump files")
-	}
-	if err := txtrace.WriteDiff(os.Stdout, load(args[0]), load(args[1])); err != nil {
-		log.Fatal(err)
-	}
+	tool.Render(func(d *txtrace.Dump, w io.Writer) error { return d.WriteTop(w, *n) })(fs.Args())
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -16,7 +17,8 @@ import (
 )
 
 // Artifact is a Kind whose per-point artifact is a T kept in Store and
-// served on one live endpoint.
+// served on one live endpoint. It also owns the artifact's file format
+// and pairwise diff, which the CLIs read, write and compare files with.
 type Artifact[T any] struct {
 	Store *Store[T]
 	name  string
@@ -25,7 +27,9 @@ type Artifact[T any] struct {
 	// arm builds one run's collector; its result func yields the
 	// finished artifact labelled with the point name, false when the
 	// run published none.
-	arm func() (system.Option, func(point string) (T, bool))
+	arm    func() (system.Option, func(point string) (T, bool))
+	encode func(T, io.Writer) error
+	diff   func(w io.Writer, a, b T) error
 }
 
 // Name returns the artifact's checkpoint key.
@@ -59,16 +63,35 @@ func (a *Artifact[T]) Attach(point string, _ system.Config) (system.Option, Fini
 
 // Restore decodes a checkpointed artifact into the store.
 func (a *Artifact[T]) Restore(point string, data json.RawMessage) error {
-	if bytes.Equal(bytes.TrimSpace(data), []byte("null")) {
-		return fmt.Errorf("observe: %s %s: null artifact", a.name, point)
-	}
-	var v T
-	if err := json.Unmarshal(data, &v); err != nil {
+	v, err := a.Decode(bytes.NewReader(data))
+	if err != nil {
 		return fmt.Errorf("observe: %s %s: %w", a.name, point, err)
 	}
 	a.Store.Put(point, v)
 	return nil
 }
+
+// Encode writes an artifact in its file format, indented JSON.
+func (a *Artifact[T]) Encode(v T, w io.Writer) error { return a.encode(v, w) }
+
+// Decode reads one artifact file. A null artifact and any data after
+// the JSON value are errors.
+func (a *Artifact[T]) Decode(r io.Reader) (T, error) {
+	var v T
+	data, err := io.ReadAll(r)
+	switch {
+	case err != nil:
+	case bytes.Equal(bytes.TrimSpace(data), []byte("null")):
+		err = errors.New("null artifact")
+	default:
+		err = json.Unmarshal(data, &v)
+	}
+	return v, err
+}
+
+// Diff writes the pairwise comparison of two artifacts, a as the
+// baseline.
+func (a *Artifact[T]) Diff(w io.Writer, x, y T) error { return a.diff(w, x, y) }
 
 // Profiles is the cycle-attribution profiler: one profile.Profile per
 // point, served on /profile.
@@ -83,6 +106,8 @@ func Profiles() *Artifact[*profile.Profile] {
 				return p, true
 			}
 		},
+		encode: (*profile.Profile).Encode,
+		diff:   func(w io.Writer, a, b *profile.Profile) error { return profile.Diff(a, b).Write(w) },
 	}
 }
 
@@ -99,6 +124,8 @@ func Spans(cfg txtrace.Config) *Artifact[*txtrace.Dump] {
 				return d, true
 			}
 		},
+		encode: (*txtrace.Dump).Write,
+		diff:   txtrace.WriteDiff,
 	}
 }
 
@@ -118,6 +145,8 @@ func QStats() *Artifact[*qstats.Report] {
 				return rep, true
 			}
 		},
+		encode: (*qstats.Report).WriteJSON,
+		diff:   qstats.WriteDiff,
 	}
 }
 

@@ -3,6 +3,7 @@ package observe
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"odbscale/internal/odb"
 	"odbscale/internal/profile"
 	"odbscale/internal/qstats"
+	"odbscale/internal/sim"
 	"odbscale/internal/telemetry"
 	"odbscale/internal/txtrace"
 )
@@ -144,5 +146,127 @@ func TestRestoreRejectsDamage(t *testing.T) {
 	}
 	if err := kinds[0].Restore("W=1,P=1", json.RawMessage(`{"NewOrder":"!!"}`)); err == nil {
 		t.Error("hists restored a non-base64 histogram")
+	}
+}
+
+// checkRoundTrip checks a kind's Decode reads back exactly what its
+// Encode wrote.
+func checkRoundTrip[T any](t *testing.T, k *Artifact[T], v T) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := k.Encode(v, &buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := k.Decode(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, v) {
+		t.Fatalf("%s round trip mismatch:\n got %+v\nwant %+v", k.Name(), back, v)
+	}
+}
+
+// TestProfilesCodecRoundTrip checks the profile file form is lossless.
+func TestProfilesCodecRoundTrip(t *testing.T) {
+	p := sampleProfile("W=10,P=1", 5000)
+	col := profile.NewCollector()
+	col.SetMeta(profile.Meta{Label: "W=10,P=1", Warehouses: 10, Processors: 1, Scale: 64, FreqHz: 1.6e9})
+	col.AddChunk(profile.User,
+		[]profile.Share{{Kind: profile.KindOf(odb.NewOrder), Phase: odb.PhaseBTree, Instr: 3000},
+			{Kind: profile.KindOf(odb.Payment), Phase: odb.PhaseLock, Instr: 2000}},
+		5000, 12500, profile.Events{L3Miss: 4, L2Miss: 9, Mispred: 3, BusLatency: 1.5})
+	col.AddChunk(profile.OS,
+		[]profile.Share{{Kind: profile.KindOf(odb.NewOrder), Phase: odb.PhaseSyscall, Instr: 1200}},
+		1200, 4100, profile.Events{TLBMiss: 2})
+	checkRoundTrip(t, Profiles(), p)
+	checkRoundTrip(t, Profiles(), col.Profile())
+}
+
+// TestSpansCodecRoundTrip checks the trace dump file form reproduces
+// the dump exactly.
+func TestSpansCodecRoundTrip(t *testing.T) {
+	tr := txtrace.NewTracer(txtrace.Config{HeadEvery: 1, TailK: 2})
+	tr.SetMeta(txtrace.Meta{Label: "test", Warehouses: 10, Clients: 8, Processors: 2, Seed: 7, FreqHz: 2e9})
+	ps := tr.NewProcState(1)
+	for i := 0; i < 5; i++ {
+		at := sim.Time(i * 1000)
+		ps.Begin(odb.Payment, at)
+		ps.AddInstr(odb.PhaseBuffer, 40)
+		ps.EndChunk(at, 100, 80)
+		ps.SetBlock(txtrace.KindBusyWait, 0)
+		ps.StartChunk(at+300, at+250)
+		tr.End(ps, at+300, true)
+	}
+	checkRoundTrip(t, Spans(txtrace.Config{}), tr.Dump())
+}
+
+// TestQStatsCodecRoundTrip checks the station report file form is
+// lossless.
+func TestQStatsCodecRoundTrip(t *testing.T) {
+	checkRoundTrip(t, QStats(), sampleReport())
+}
+
+// TestDecodeRejectsNullAndTrailingData checks every kind's file decoder
+// has Restore's strictness: a null artifact and data after the JSON
+// value are errors.
+func TestDecodeRejectsNullAndTrailingData(t *testing.T) {
+	decoders := []struct {
+		name   string
+		decode func(io.Reader) error
+	}{
+		{"profile", func(r io.Reader) error { _, err := Profiles().Decode(r); return err }},
+		{"spans", func(r io.Reader) error { _, err := Spans(txtrace.Config{}).Decode(r); return err }},
+		{"qstats", func(r io.Reader) error { _, err := QStats().Decode(r); return err }},
+	}
+	for _, d := range decoders {
+		for _, data := range []string{`null`, " null\n", `{} x`, `{}{}`, `{"meta":{}} null`, ``} {
+			if err := d.decode(strings.NewReader(data)); err == nil {
+				t.Errorf("%s decoded %q", d.name, data)
+			}
+		}
+		if err := d.decode(strings.NewReader("{}\n")); err != nil {
+			t.Errorf("%s rejected an empty artifact: %v", d.name, err)
+		}
+	}
+}
+
+// TestDiffWritesPackageDiff checks each kind's Diff is its package's
+// pairwise comparison.
+func TestDiffWritesPackageDiff(t *testing.T) {
+	lo, hi := sampleProfile("W=10,P=1", 5000), sampleProfile("W=20,P=1", 9000)
+	var got, want bytes.Buffer
+	if err := Profiles().Diff(&got, lo, hi); err != nil {
+		t.Fatal(err)
+	}
+	if err := profile.Diff(lo, hi).Write(&want); err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() == 0 || got.String() != want.String() {
+		t.Errorf("profile diff:\n%s\nwant\n%s", got.String(), want.String())
+	}
+	got.Reset()
+	want.Reset()
+	a, b := sampleReport(), sampleReport()
+	b.Stations[qstats.Disk].WaitDemandMS *= 2
+	if err := QStats().Diff(&got, a, b); err != nil {
+		t.Fatal(err)
+	}
+	if err := qstats.WriteDiff(&want, a, b); err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() == 0 || got.String() != want.String() {
+		t.Errorf("qstats diff:\n%s\nwant\n%s", got.String(), want.String())
+	}
+	got.Reset()
+	want.Reset()
+	d := &txtrace.Dump{Meta: txtrace.Meta{Label: "W=10,P=1"}}
+	if err := Spans(txtrace.Config{}).Diff(&got, d, d); err != nil {
+		t.Fatal(err)
+	}
+	if err := txtrace.WriteDiff(&want, d, d); err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() == 0 || got.String() != want.String() {
+		t.Errorf("spans diff:\n%s\nwant\n%s", got.String(), want.String())
 	}
 }

@@ -21,7 +21,6 @@ package profile
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -373,13 +372,4 @@ func (p *Profile) Encode(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(p)
-}
-
-// Decode reads a profile written by Encode.
-func Decode(r io.Reader) (*Profile, error) {
-	var p Profile
-	if err := json.NewDecoder(r).Decode(&p); err != nil {
-		return nil, fmt.Errorf("profile: decoding: %w", err)
-	}
-	return &p, nil
 }

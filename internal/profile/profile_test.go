@@ -157,30 +157,6 @@ func TestFoldedAndText(t *testing.T) {
 	}
 }
 
-// TestEncodeDecodeRoundTrip checks the JSON form is lossless.
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	p := sampleProfile(5000, 1200)
-	var buf bytes.Buffer
-	if err := p.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	q, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Meta != p.Meta {
-		t.Errorf("meta mismatch:\n%+v\n%+v", q.Meta, p.Meta)
-	}
-	if len(q.Frames) != len(p.Frames) {
-		t.Fatalf("frame count %d != %d", len(q.Frames), len(p.Frames))
-	}
-	for i := range p.Frames {
-		if q.Frames[i] != p.Frames[i] {
-			t.Errorf("frame %d mismatch:\n%+v\n%+v", i, q.Frames[i], p.Frames[i])
-		}
-	}
-}
-
 // TestMerge checks frame-wise summation and metadata handling.
 func TestMerge(t *testing.T) {
 	a := sampleProfile(5000, 1200)

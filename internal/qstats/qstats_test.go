@@ -151,24 +151,6 @@ func TestStationAccumulationAllocFree(t *testing.T) {
 	}
 }
 
-func TestReportJSONRoundTrip(t *testing.T) {
-	r := Build(testInput())
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadReport(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Bottleneck != r.Bottleneck || back.Commits != r.Commits || len(back.Stations) != len(r.Stations) {
-		t.Fatalf("round trip mismatch: %+v vs %+v", back, r)
-	}
-	if back.Stations[Disk].WaitDemandMS != r.Stations[Disk].WaitDemandMS {
-		t.Fatalf("round trip lost wait demand")
-	}
-}
-
 func TestWriteTextAndDiff(t *testing.T) {
 	r := Build(testInput())
 	var buf bytes.Buffer

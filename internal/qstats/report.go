@@ -247,15 +247,6 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// ReadReport decodes a report written by WriteJSON.
-func ReadReport(rd io.Reader) (*Report, error) {
-	var r Report
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
-		return nil, fmt.Errorf("qstats: decoding report: %w", err)
-	}
-	return &r, nil
-}
-
 // WriteText renders the observatory table: one row per station, the
 // law-audit verdict, and the bottleneck/headroom summary.
 func (r *Report) WriteText(w io.Writer) error {

@@ -99,12 +99,3 @@ func (d *Dump) Write(w io.Writer) error {
 	}
 	return nil
 }
-
-// ReadDump parses a Write result.
-func ReadDump(r io.Reader) (*Dump, error) {
-	var d Dump
-	if err := json.NewDecoder(r).Decode(&d); err != nil {
-		return nil, fmt.Errorf("txtrace: decoding dump: %w", err)
-	}
-	return &d, nil
-}

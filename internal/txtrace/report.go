@@ -140,7 +140,7 @@ func CriticalPath(tr *Trace) []PathEntry {
 }
 
 // TopSlowest returns up to n retained traces by descending latency
-// (ties by commit order).
+// (ties by commit order); none for n ≤ 0.
 func (d *Dump) TopSlowest(n int) []*Trace {
 	idx := make([]*Trace, len(d.Traces))
 	for i := range d.Traces {
@@ -153,7 +153,7 @@ func (d *Dump) TopSlowest(n int) []*Trace {
 		return idx[i].Seq < idx[j].Seq
 	})
 	if n < len(idx) {
-		idx = idx[:n]
+		idx = idx[:max(n, 0)]
 	}
 	return idx
 }

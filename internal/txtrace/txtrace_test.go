@@ -225,33 +225,6 @@ func TestWarmupDiscarded(t *testing.T) {
 	}
 }
 
-// TestDumpRoundTrip checks Write/ReadDump reproduce the dump exactly.
-func TestDumpRoundTrip(t *testing.T) {
-	tr := NewTracer(Config{HeadEvery: 1, TailK: 2})
-	tr.SetMeta(Meta{Label: "test", Warehouses: 10, Clients: 8, Processors: 2, Seed: 7, FreqHz: 2e9})
-	ps := tr.NewProcState(1)
-	for i := 0; i < 5; i++ {
-		ps.Begin(odb.Payment, sim.Time(i*1000))
-		ps.AddInstr(odb.PhaseBuffer, 40)
-		ps.EndChunk(sim.Time(i*1000), 100, 80)
-		ps.SetBlock(KindBusyWait, 0)
-		ps.StartChunk(sim.Time(i*1000)+300, sim.Time(i*1000)+250)
-		tr.End(ps, sim.Time(i*1000)+300, true)
-	}
-	d := tr.Dump()
-	var buf bytes.Buffer
-	if err := d.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadDump(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(d, back) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", back, d)
-	}
-}
-
 // TestDumpDedupsHeadAndTail checks a trace in both sample sets appears
 // once in the dump.
 func TestDumpDedupsHeadAndTail(t *testing.T) {
@@ -369,5 +342,35 @@ func TestConfigDefaults(t *testing.T) {
 	got = NewTracer(Config{HeadEvery: -1, HeadCap: -1, TailK: -1}).Config()
 	if got.HeadEvery != 0 || got.HeadCap != 0 || got.TailK != 0 {
 		t.Fatalf("negative config resolved to %+v, want all disabled", got)
+	}
+}
+
+// TestTopSlowestNonPositive checks a count of zero or less lists no
+// traces instead of slicing out of range.
+func TestTopSlowestNonPositive(t *testing.T) {
+	tr := NewTracer(Config{HeadEvery: 1, TailK: 2})
+	ps := tr.NewProcState(0)
+	for i, lat := range []sim.Time{30, 10, 20} {
+		endSynthetic(tr, ps, odb.Payment, sim.Time(i*100), lat)
+	}
+	d := tr.Dump()
+	if got := d.TopSlowest(2); len(got) != 2 || got[0].Latency != 30 || got[1].Latency != 20 {
+		t.Fatalf("TopSlowest(2) = %v", got)
+	}
+	var header bytes.Buffer
+	if err := (&Dump{}).WriteTop(&header, 10); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, -1} {
+		if got := d.TopSlowest(n); len(got) != 0 {
+			t.Errorf("TopSlowest(%d) = %d traces, want none", n, len(got))
+		}
+		var buf bytes.Buffer
+		if err := d.WriteTop(&buf, n); err != nil {
+			t.Fatal(err)
+		}
+		if buf.String() != header.String() {
+			t.Errorf("WriteTop(%d) =\n%s\nwant only the header\n%s", n, buf.String(), header.String())
+		}
 	}
 }
