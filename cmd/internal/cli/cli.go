@@ -2,7 +2,8 @@
 // odbspan and odbq: verb dispatch, the shared capture flags and run,
 // and loading, rendering, diffing and writing artifact files through
 // their observe kind. odbsweep and odbrun share its machine resolver
-// and writers.
+// and writers, and the campaign commands odbsweep and paperrepro its
+// campaign flags.
 package cli
 
 import (

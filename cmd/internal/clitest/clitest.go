@@ -59,7 +59,7 @@ var logTime = regexp.MustCompile(`(?m)^\d{4}/\d\d/\d\d \d\d:\d\d:\d\d `)
 // its stdout, its stderr without log timestamps, and its exit code.
 func Exec(t *testing.T, dir string, stdin io.Reader, args ...string) (stdout, stderr []byte, code int) {
 	t.Helper()
-	enc, _ := json.Marshal(args) // a []string always marshals
+	enc, _ := json.Marshal(args)    // a []string always marshals
 	cmd := exec.Command(os.Args[0]) // go test runs the binary by its absolute path
 	cmd.Dir, cmd.Stdin = dir, stdin
 	cmd.Env = append(os.Environ(), argsEnv+"="+string(enc))

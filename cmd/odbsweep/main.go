@@ -46,20 +46,17 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"os"
-	"os/signal"
 	"slices"
 	"strings"
 
 	"odbscale/cmd/internal/cli"
 	"odbscale/cmd/internal/live"
-	"odbscale/internal/campaign"
 	"odbscale/internal/engine"
 	"odbscale/internal/experiment"
 	"odbscale/internal/observe"
@@ -81,9 +78,7 @@ func main() {
 	engineName := flag.String("engine", engine.DefaultName,
 		fmt.Sprintf("storage engine: %s", strings.Join(engine.Names(), " or ")))
 	par := flag.Int("par", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-	checkpoint := flag.String("checkpoint", "", "checkpoint file: completed points persist here after every run")
-	resume := flag.Bool("resume", false, "resume from -checkpoint, re-executing only incomplete points")
-	events := flag.String("events", "", "append a JSON campaign event log to this file")
+	run := cli.CampaignFlags(flag.CommandLine)
 	listen := flag.String("listen", "", "serve the live campaign flight recorder on this address (/metrics /timeline /progress)")
 	profileFlag := flag.Bool("profile", false, "run every point under the cycle-attribution profiler and print the attribution shift across the cached-to-scaled pivot")
 	profileDir := flag.String("profiledir", "", "with -profile, write each point's profile JSON into this directory")
@@ -93,47 +88,25 @@ func main() {
 	qstatsDir := flag.String("qstatsdir", "", "with -qstats, write each point's station report JSON into this directory")
 	csv := flag.Bool("csv", false, "CSV output")
 	jsonOut := flag.Bool("json", false, "JSON output (one object per point)")
-	quiet := flag.Bool("quiet", false, "suppress the stderr progress line")
 	flag.Parse()
 
-	o := experiment.Defaults()
-	o.Seed = *seed
 	if _, ok := engine.Lookup(*engineName); !ok {
 		log.Fatalf("unknown engine %q (have %s)", *engineName, strings.Join(engine.Names(), ", "))
 	}
-	o.Engine = *engineName
-	o.MeasureTxns = *txns
-	o.TuneTxns = *tuneTxns
-	o.AutoTune = *clients == 0 && !*heuristic
-	o.Parallelism = *par
 	mc, err := cli.Machine(*machine)
 	if err != nil {
 		log.Fatalf("unknown -machine %q (want xeon or itanium2)", *machine)
 	}
-	o.Machine = mc
-
 	warehouses, processors := cli.ParseInts(*ws, "integer list"), cli.ParseInts(*ps, "integer list")
-	spec := o.CampaignSpec(warehouses, processors)
+	spec := experiment.DefaultSpec(warehouses, processors)
+	spec.Machine = mc
+	spec.Engine = *engineName
+	spec.Seed = *seed
+	spec.MeasureTxns = *txns
+	spec.TuneTxns = *tuneTxns
+	spec.AutoTune = *clients == 0 && !*heuristic
 	spec.Clients = *clients
-	spec.CheckpointPath = *checkpoint
-	spec.Resume = *resume
-	if *resume && *checkpoint == "" {
-		log.Fatal("-resume requires -checkpoint")
-	}
-
-	var observers []campaign.Observer
-	if !*quiet {
-		observers = append(observers, campaign.NewProgress(os.Stderr, len(warehouses)*len(processors)))
-	}
-	if *events != "" {
-		f, err := os.OpenFile(*events, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		observers = append(observers, campaign.NewEventLog(f))
-	}
-	spec.Observer = campaign.Observers(observers...)
+	spec.Parallelism = *par
 
 	var (
 		profiles *observe.Artifact[*profile.Profile]
@@ -175,18 +148,7 @@ func main() {
 		log.Printf("campaign flight recorder on http://%s (%s)", srv.Addr(), endpoints)
 	}
 
-	// Ctrl-C cancels the campaign cleanly: in-flight runs stop at the
-	// next cancellation check and the checkpoint keeps completed points.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	res, err := campaign.Run(ctx, spec)
-	if err != nil {
-		if *checkpoint != "" {
-			log.Printf("campaign stopped; completed points are in %s (rerun with -resume)", *checkpoint)
-		}
-		log.Fatal(err)
-	}
+	res := run.Run(spec)
 
 	if *csv {
 		fmt.Println("w,p,c,engine,tps,ipx,useripx,osipx,cpi,usercpi,oscpi,mpi,usermpi,osmpi,util,osshare,readkb,writekb,logkb,ctxsw,bustime,busutil,cohershare,bufferhit,diskutil,writeamp,readamp,spaceamp,writestalls")

@@ -123,17 +123,17 @@ func (s *Spec) fingerprint() Fingerprint {
 
 func (s *Spec) validate() error {
 	if len(s.Warehouses) == 0 || len(s.Processors) == 0 {
-		return fmt.Errorf("campaign: empty sweep axes (W=%v, P=%v)", s.Warehouses, s.Processors)
+		return fmt.Errorf("campaign: %w: empty sweep axes (W=%v, P=%v)", system.ErrBadConfig, s.Warehouses, s.Processors)
 	}
 	if s.MeasureTxns < 1 {
 		return fmt.Errorf("campaign: %w", system.ErrNoTxns)
 	}
 	if s.AutoTune {
 		if s.TuneTxns < 1 {
-			return fmt.Errorf("campaign: AutoTune requires positive TuneTxns")
+			return fmt.Errorf("campaign: %w: AutoTune requires positive TuneTxns", system.ErrBadConfig)
 		}
 		if s.MinClients < 1 || s.MaxClients < s.MinClients {
-			return fmt.Errorf("campaign: bad client range [%d, %d]", s.MinClients, s.MaxClients)
+			return fmt.Errorf("campaign: %w: client range [%d, %d]", system.ErrBadConfig, s.MinClients, s.MaxClients)
 		}
 	}
 	return nil
@@ -324,7 +324,7 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	kinds := spec.Observe
 	if spec.Flight != nil {
 		spec.Flight.SetTotalPoints(len(spec.Warehouses) * len(spec.Processors))
-		obs = Observers(obs, NewFlightObserver(spec.Flight))
+		obs = Observers(obs, newFlightObserver(spec.Flight))
 		kinds = append([]observe.Kind{observe.Hists(spec.Flight)}, kinds...)
 	}
 	ck, err := newCKStore(spec)
@@ -555,7 +555,7 @@ func (r *Runner) tunePoint(ctx context.Context, pl *pool, ck *ckStore, em *emitt
 		}
 		return u, nil
 	}
-	return Tune(probe, Bounds{
+	return tune(probe, bounds{
 		Min:    spec.MinClients,
 		Max:    spec.MaxClients,
 		Start:  start,

@@ -205,7 +205,7 @@ func TestTuneAgainstBruteForce(t *testing.T) {
 	const target = 0.9
 	for _, w := range []int{5, 30, 80, 200, 420, 1000} {
 		for _, p := range []int{1, 2, 4} {
-			for _, b := range []Bounds{
+			for _, b := range []bounds{
 				{Min: 2, Max: 64},
 				{Min: 8, Max: 64},
 				{Min: 1, Max: 48},
@@ -219,7 +219,7 @@ func TestTuneAgainstBruteForce(t *testing.T) {
 					bb := b
 					bb.Start = start
 					asked := make(map[int]bool)
-					got, err := Tune(func(c int) (float64, error) {
+					got, err := tune(func(c int) (float64, error) {
 						if asked[c] {
 							t.Fatalf("W=%d P=%d %+v: count %d probed twice", w, p, bb, c)
 						}
@@ -239,7 +239,7 @@ func TestTuneAgainstBruteForce(t *testing.T) {
 }
 
 func TestTuneIOBoundReturnsMax(t *testing.T) {
-	got, err := Tune(func(c int) (float64, error) { return 0.5, nil }, Bounds{Min: 4, Max: 32, Start: 4, Target: 0.9})
+	got, err := tune(func(c int) (float64, error) { return 0.5, nil }, bounds{Min: 4, Max: 32, Start: 4, Target: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestTuneIOBoundReturnsMax(t *testing.T) {
 
 func TestTunePropagatesProbeError(t *testing.T) {
 	boom := errors.New("boom")
-	if _, err := Tune(func(int) (float64, error) { return 0, boom }, Bounds{Min: 2, Max: 8, Start: 2, Target: 0.9}); !errors.Is(err, boom) {
+	if _, err := tune(func(int) (float64, error) { return 0, boom }, bounds{Min: 2, Max: 8, Start: 2, Target: 0.9}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped probe error", err)
 	}
 }
@@ -527,25 +527,73 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 }
 
 func TestSpecValidation(t *testing.T) {
-	spec := testSpec()
-	spec.Warehouses = nil
-	if _, err := Run(context.Background(), spec); err == nil {
-		t.Fatal("empty axes accepted")
+	for _, c := range []struct {
+		name   string
+		mutate func(*Spec)
+		want   error
+	}{
+		{"empty axes", func(s *Spec) { s.Warehouses = nil }, system.ErrBadConfig},
+		{"no MeasureTxns", func(s *Spec) { s.MeasureTxns = 0 }, system.ErrNoTxns},
+		{"inverted client range", func(s *Spec) { s.MaxClients = s.MinClients - 1 }, system.ErrBadConfig},
+		{"AutoTune without TuneTxns", func(s *Spec) { s.TuneTxns = 0 }, system.ErrBadConfig},
+		{"Resume without CheckpointPath", func(s *Spec) { s.Resume = true }, system.ErrBadConfig},
+	} {
+		spec := testSpec()
+		c.mutate(&spec)
+		if _, err := Run(context.Background(), spec); !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+		}
 	}
-	spec = testSpec()
-	spec.MeasureTxns = 0
-	if _, err := Run(context.Background(), spec); !errors.Is(err, system.ErrNoTxns) {
-		t.Fatalf("err = %v, want ErrNoTxns", err)
+}
+
+// TestCheckpointIndependentOfCompletionOrder runs one campaign twice,
+// once with every run of the P=1 lane completing before any of the P=4
+// lane's and once the other way round, and requires byte-identical
+// checkpoint files.
+func TestCheckpointIndependentOfCompletionOrder(t *testing.T) {
+	write := func(first int) []byte {
+		spec := testSpec()
+		spec.Warehouses = []int{10, 40}
+		spec.Processors = []int{1, 4}
+		spec.CheckpointPath = filepath.Join(t.TempDir(), "ck.json")
+		// The other lane's runs wait until the checkpoint holds every
+		// point of the first lane, and with them all its probes.
+		firstDone := func() bool {
+			cp, err := LoadCheckpoint(spec.CheckpointPath)
+			if err != nil {
+				return false
+			}
+			n := 0
+			for _, pt := range cp.Points {
+				if pt.P == first {
+					n++
+				}
+			}
+			return n == len(spec.Warehouses)
+		}
+		rl := &runLog{}
+		run := func(ctx context.Context, cfg system.Config) (system.Metrics, error) {
+			for cfg.Processors != first && !firstDone() {
+				select {
+				case <-time.After(time.Millisecond):
+				case <-ctx.Done():
+					return system.Metrics{}, ctx.Err()
+				}
+			}
+			return rl.run(ctx, cfg)
+		}
+		if _, err := (&Runner{Spec: spec, RunFunc: run}).Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(spec.CheckpointPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
 	}
-	spec = testSpec()
-	spec.MaxClients = spec.MinClients - 1
-	if _, err := Run(context.Background(), spec); err == nil {
-		t.Fatal("inverted client range accepted")
-	}
-	spec = testSpec()
-	spec.Resume = true // no CheckpointPath
-	if _, err := Run(context.Background(), spec); err == nil {
-		t.Fatal("Resume without CheckpointPath accepted")
+	a, b := write(1), write(4)
+	if !bytes.Equal(a, b) {
+		t.Fatalf("checkpoints differ with completion order:\n%s\n---\n%s", a, b)
 	}
 }
 

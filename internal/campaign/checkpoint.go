@@ -1,11 +1,13 @@
 package campaign
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"odbscale/internal/system"
@@ -133,7 +135,7 @@ func newCKStore(spec *Spec) (*ckStore, error) {
 		return s, nil
 	}
 	if s.path == "" {
-		return nil, fmt.Errorf("campaign: Resume requires a CheckpointPath")
+		return nil, fmt.Errorf("campaign: %w: Resume requires a CheckpointPath", system.ErrBadConfig)
 	}
 	cp, err := LoadCheckpoint(s.path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -196,9 +198,22 @@ func (s *ckStore) addProbe(w, p, c int, util float64) error {
 	return s.persistLocked()
 }
 
+// persistLocked saves the checkpoint with points ordered by (W, P) and
+// probes stably sorted by (W, P), each point's probes keeping their
+// search order: runs complete in any order on the pool, but the file
+// is a function of the campaign alone.
 func (s *ckStore) persistLocked() error {
 	if s.path == "" {
 		return nil
 	}
-	return s.cp.Save(s.path)
+	cp := s.cp
+	cp.Points = slices.Clone(cp.Points)
+	slices.SortFunc(cp.Points, func(a, b CheckpointPoint) int { return cmpWP(a.W, a.P, b.W, b.P) })
+	cp.Probes = slices.Clone(cp.Probes)
+	slices.SortStableFunc(cp.Probes, func(a, b CheckpointProbe) int { return cmpWP(a.W, a.P, b.W, b.P) })
+	return cp.Save(s.path)
+}
+
+func cmpWP(aw, ap, bw, bp int) int {
+	return cmp.Or(cmp.Compare(aw, bw), cmp.Compare(ap, bp))
 }

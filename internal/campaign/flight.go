@@ -16,11 +16,9 @@ type flightObserver struct {
 	cr *telemetry.CampaignRecorder
 }
 
-// NewFlightObserver returns an Observer that keeps cr's campaign
-// progress current. The runner installs it automatically when
-// Spec.Flight is set; it is exported for callers composing their own
-// observer chains.
-func NewFlightObserver(cr *telemetry.CampaignRecorder) Observer {
+// newFlightObserver returns an Observer that keeps cr's campaign
+// progress current. The runner installs it when Spec.Flight is set.
+func newFlightObserver(cr *telemetry.CampaignRecorder) Observer {
 	return &flightObserver{cr: cr}
 }
 

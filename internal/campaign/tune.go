@@ -1,7 +1,7 @@
 package campaign
 
-// Bounds frames one client-tuner search.
-type Bounds struct {
+// bounds frames one client-tuner search.
+type bounds struct {
 	// Min and Max bound the client counts considered.
 	Min, Max int
 	// Start is the first count probed. A warm start (Start > Min, e.g.
@@ -13,7 +13,7 @@ type Bounds struct {
 	Target float64
 }
 
-// Tune finds the smallest client count in [Min, Max] whose probed
+// tune finds the smallest client count in [Min, Max] whose probed
 // utilization reaches Target, assuming utilization is non-decreasing in
 // the client count (the paper's regime: more clients mask more disk
 // latency). If even Max cannot reach the target — an I/O-bound setup —
@@ -27,8 +27,8 @@ type Bounds struct {
 // Start to bracket the target and binary-refines inside the bracket,
 // exactly the exponential-plus-binary search of the paper's Table 1
 // methodology. Probe results are expected to be memoized by the caller;
-// Tune itself never asks for the same count twice.
-func Tune(probe func(clients int) (float64, error), b Bounds) (int, error) {
+// tune itself never asks for the same count twice.
+func tune(probe func(clients int) (float64, error), b bounds) (int, error) {
 	if b.Min < 1 {
 		b.Min = 1
 	}

@@ -24,7 +24,7 @@ type Replication struct {
 	BusTime stats.Summary
 }
 
-// CI95 returns the 95% confidence half-width of a metric's mean across
+// ci returns the 95% confidence half-width of a metric's mean across
 // the replicas.
 func ci(xs []float64) float64 { return stats.CI95(xs) }
 
@@ -50,16 +50,11 @@ func gather(ms []system.Metrics, f func(system.Metrics) float64) []float64 {
 }
 
 // Replicate runs one configuration n times with consecutive seeds and
-// summarizes the spread. The configuration's own seed is the first.
-func Replicate(cfg system.Config, n int) (Replication, error) {
-	return ReplicateContext(context.Background(), cfg, n)
-}
-
-// ReplicateContext is Replicate under a context: the n seeded runs are
-// submitted together through the campaign worker pool and execute
-// concurrently (each run is an isolated deterministic simulation, so
-// the summary is identical to the serial one).
-func ReplicateContext(ctx context.Context, cfg system.Config, n int) (Replication, error) {
+// summarizes the spread. The configuration's own seed is the first. The
+// n runs are submitted together through the campaign worker pool and
+// execute concurrently; each is an isolated deterministic simulation,
+// so the summary equals the serial one.
+func Replicate(ctx context.Context, cfg system.Config, n int) (Replication, error) {
 	if n < 2 {
 		return Replication{}, fmt.Errorf("experiment: need at least 2 replicas, got %d", n)
 	}

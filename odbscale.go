@@ -12,7 +12,7 @@
 // Quick start:
 //
 //	cfg := odbscale.DefaultConfig(100, 32, 4) // warehouses, clients, CPUs
-//	m, err := odbscale.Run(cfg)
+//	m, err := odbscale.Run(ctx, cfg)
 //	// m.TPS, m.IPX, m.CPI, m.MPI, m.Breakdown, ...
 //
 // Campaigns — warehouse × processor sweeps with ≥90%-utilization client
@@ -24,11 +24,8 @@
 //	spec.Resume = true
 //	spec.Observer = odbscale.NewCampaignProgress(os.Stderr, len(spec.Warehouses)*len(spec.Processors))
 //	res, err := odbscale.RunCampaign(ctx, spec)
-//	set := odbscale.SweepSetFromCampaign(res)
-//	char, err := set.Characterize(4) // pivot points, extrapolation
-//
-// The legacy Options.CollectSweeps surface remains as a thin wrapper
-// over the same runner.
+//	ms := res.Series(4) // the 4P points in warehouse order
+//	char, err := odbscale.CharacterizeCampaign(res, 4) // pivot points, extrapolation
 package odbscale
 
 import (
@@ -186,15 +183,6 @@ func Characterize(processors int, cpi, mpi Series) (Characterization, error) {
 // Speedup returns the throughput ratio of two iron-law operating points.
 func Speedup(after, before IronLaw) float64 { return core.Speedup(after, before) }
 
-// Campaigns: sweeps, tuning and figure assembly.
-type (
-	// Options configures a measurement campaign (platform, measurement
-	// lengths, the ≥90%-utilization client tuner, parallelism).
-	Options = experiment.Options
-	// SweepSet holds a full warehouse × processor campaign.
-	SweepSet = experiment.SweepSet
-)
-
 // The campaign runner: context-aware scheduling of every run in a
 // campaign (measurement points and tuner probes) on one bounded pool,
 // with probe memoization, checkpoint/resume and progress events.
@@ -231,13 +219,14 @@ func RunCampaign(ctx context.Context, spec CampaignSpec) (*CampaignResult, error
 // given warehouse and processor axes (auto-tuned clients, warm-started
 // probes); customize CheckpointPath, Resume and Observer on the result.
 func DefaultCampaignSpec(ws, ps []int) CampaignSpec {
-	return experiment.Defaults().CampaignSpec(ws, ps)
+	return experiment.DefaultSpec(ws, ps)
 }
 
-// SweepSetFromCampaign arranges a campaign result into the SweepSet
-// container the figure and table assemblers consume.
-func SweepSetFromCampaign(res *CampaignResult) *SweepSet {
-	return experiment.SweepSetFrom(res)
+// CharacterizeCampaign fits the two-region scaling model to one
+// processor configuration of a campaign result: its CPI and MPI pivot
+// points over the balanced (≤800-warehouse) points.
+func CharacterizeCampaign(res *CampaignResult, processors int) (Characterization, error) {
+	return experiment.Characterize(res, processors)
 }
 
 // NewCampaignProgress returns an observer rendering a live one-line
@@ -257,22 +246,14 @@ func CampaignObservers(obs ...CampaignObserver) CampaignObserver {
 	return campaign.Observers(obs...)
 }
 
-// DefaultOptions returns the paper-equivalent campaign settings.
-func DefaultOptions() Options { return experiment.Defaults() }
-
 // Replication summarizes repeated measurements under different seeds.
 type Replication = experiment.Replication
 
 // Replicate runs one configuration n times with consecutive seeds —
 // concurrently, through the campaign worker pool — and summarizes the
 // run-to-run spread of the headline metrics.
-func Replicate(cfg Config, n int) (Replication, error) {
-	return experiment.Replicate(cfg, n)
-}
-
-// ReplicateContext is Replicate under a context.
-func ReplicateContext(ctx context.Context, cfg Config, n int) (Replication, error) {
-	return experiment.ReplicateContext(ctx, cfg, n)
+func Replicate(ctx context.Context, cfg Config, n int) (Replication, error) {
+	return experiment.Replicate(ctx, cfg, n)
 }
 
 // StandardWarehouses is the warehouse axis used by the paper's figures.

@@ -57,9 +57,8 @@ func TestPublicCampaign(t *testing.T) {
 	if progress.Len() == 0 || events.Len() == 0 {
 		t.Fatal("observers produced no output")
 	}
-	set := odbscale.SweepSetFromCampaign(res)
-	if len(set.ByP[1]) != 2 {
-		t.Fatalf("sweep set has %d points", len(set.ByP[1]))
+	if ms := res.Series(1); len(ms) != 2 {
+		t.Fatalf("campaign series has %d points", len(ms))
 	}
 
 	// A second run resumes every point from the checkpoint: zero runs.
@@ -180,7 +179,7 @@ func TestPublicEMONAndFunctionalStore(t *testing.T) {
 		t.Fatalf("recovery lost money: %d != %d", w2, w)
 	}
 
-	rep, err := odbscale.Replicate(cfg, 2)
+	rep, err := odbscale.Replicate(context.Background(), cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
