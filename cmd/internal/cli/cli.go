@@ -116,7 +116,7 @@ func (pt Point) Config() system.Config {
 // Run simulates cfg under kind and returns the run's artifact, labelled
 // label, with the run's metrics.
 func Run[T any](kind *observe.Artifact[T], label string, cfg system.Config) (T, system.Metrics) {
-	opt, finish := kind.Attach(label, cfg)
+	opt, finish := kind.Attach(label)
 	m, err := system.Run(context.Background(), cfg, opt)
 	if err != nil {
 		log.Fatal(err)

@@ -42,25 +42,6 @@ func (s State) String() string {
 	return "?"
 }
 
-// Stats counts the events observed by one cache.
-type Stats struct {
-	Accesses    uint64
-	Hits        uint64
-	Misses      uint64
-	Evictions   uint64
-	Writebacks  uint64 // evictions of Modified lines
-	Invalidates uint64 // lines killed by remote writes
-	CoherMisses uint64 // misses to lines previously invalidated remotely
-}
-
-// MissRatio returns misses per access.
-func (s Stats) MissRatio() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 type way struct {
 	tag   uint64 // full line address (not just the tag bits) for simplicity
 	state State
@@ -69,22 +50,15 @@ type way struct {
 
 // Cache is a single set-associative cache with LRU replacement.
 type Cache struct {
-	name     string
 	sets     [][]way
-	ways     int
 	lineBits uint
 	setMask  uint64
 	tick     uint64
-	stats    Stats
-	// invalidated remembers lines removed by remote writes so the next
-	// miss on them can be classified as a coherence miss. Entries are
-	// consumed on the classifying miss.
-	invalidated map[uint64]struct{}
 }
 
 // NewCache builds a cache of the given total size in bytes, associativity
 // and line size. Size must be an exact multiple of ways*lineSize and the
-// set count must be a power of two.
+// set count must be a power of two. name labels the panic messages.
 func NewCache(name string, size, ways, lineSize int) *Cache {
 	if size <= 0 || ways <= 0 || lineSize <= 0 {
 		panic("cache: non-positive geometry")
@@ -101,12 +75,9 @@ func NewCache(name string, size, ways, lineSize int) *Cache {
 		lineBits++
 	}
 	c := &Cache{
-		name:        name,
-		sets:        make([][]way, nsets),
-		ways:        ways,
-		lineBits:    lineBits,
-		setMask:     uint64(nsets - 1),
-		invalidated: make(map[uint64]struct{}),
+		sets:     make([][]way, nsets),
+		lineBits: lineBits,
+		setMask:  uint64(nsets - 1),
 	}
 	for i := range c.sets {
 		c.sets[i] = make([]way, ways)
@@ -120,7 +91,7 @@ func (c *Cache) Line(addr Addr) uint64 { return uint64(addr) >> c.lineBits }
 func (c *Cache) setOf(line uint64) []way { return c.sets[line&c.setMask] }
 
 // Probe reports whether line is present and in what state, without
-// touching LRU or statistics.
+// touching LRU.
 func (c *Cache) Probe(line uint64) (State, bool) {
 	for i := range c.setOf(line) {
 		w := &c.setOf(line)[i]
@@ -138,34 +109,20 @@ type Evicted struct {
 	Valid bool // false when the insertion used an empty way
 }
 
-// Access looks up a line, updating LRU and hit/miss statistics. On a miss
-// the line is inserted in the given state and the victim (if any) is
-// returned. write upgrades the final state to Modified.
-// coherMiss reports that the miss hit a line previously invalidated by a
-// remote writer.
-func (c *Cache) Access(line uint64, write bool, fillState State) (hit bool, victim Evicted, coherMiss bool) {
-	c.stats.Accesses++
+// Access looks up a line, updating LRU. On a miss the line is inserted
+// in the given state and the victim (if any) is returned. write upgrades
+// the final state to Modified.
+func (c *Cache) Access(line uint64, write bool, fillState State) (hit bool, victim Evicted) {
 	c.tick++
 	set := c.setOf(line)
 	for i := range set {
 		w := &set[i]
 		if w.state != Invalid && w.tag == line {
-			c.stats.Hits++
 			w.touch = c.tick
 			if write {
 				w.state = Modified
 			}
-			return true, Evicted{}, false
-		}
-	}
-	c.stats.Misses++
-	// The empty-map guard keeps the single-processor (and low-sharing)
-	// fast path free of a per-miss map probe.
-	if len(c.invalidated) != 0 {
-		if _, ok := c.invalidated[line]; ok {
-			delete(c.invalidated, line)
-			c.stats.CoherMisses++
-			coherMiss = true
+			return true, Evicted{}
 		}
 	}
 	// Choose a victim: an invalid way if available, else LRU.
@@ -180,49 +137,25 @@ func (c *Cache) Access(line uint64, write bool, fillState State) (hit bool, vict
 		}
 	}
 	victim = Evicted{Line: set[victimIdx].tag, Dirty: set[victimIdx].state == Modified, Valid: true}
-	c.stats.Evictions++
-	if victim.Dirty {
-		c.stats.Writebacks++
-	}
 fill:
 	st := fillState
 	if write {
 		st = Modified
 	}
 	set[victimIdx] = way{tag: line, state: st, touch: c.tick}
-	return false, victim, coherMiss
+	return false, victim
 }
 
-// Invalidate removes line if present, recording it for coherence-miss
-// classification. It reports whether the line was present and dirty.
-func (c *Cache) Invalidate(line uint64) (present, dirty bool) {
-	set := c.setOf(line)
-	for i := range set {
-		w := &set[i]
-		if w.state != Invalid && w.tag == line {
-			dirty = w.state == Modified
-			w.state = Invalid
-			c.stats.Invalidates++
-			c.invalidated[line] = struct{}{}
-			return true, dirty
-		}
-	}
-	return false, false
+// Invalidate removes line (a remote writer took it), reporting whether it
+// was present.
+func (c *Cache) Invalidate(line uint64) bool {
+	return c.SetState(line, Invalid)
 }
 
-// Downgrade moves line to Shared if present (a remote reader snooped it),
-// reporting presence and whether it was dirty (requiring a writeback).
-func (c *Cache) Downgrade(line uint64) (present, dirty bool) {
-	set := c.setOf(line)
-	for i := range set {
-		w := &set[i]
-		if w.state != Invalid && w.tag == line {
-			dirty = w.state == Modified
-			w.state = Shared
-			return true, dirty
-		}
-	}
-	return false, false
+// Downgrade moves line to Shared (a remote reader snooped it), reporting
+// whether it was present.
+func (c *Cache) Downgrade(line uint64) bool {
+	return c.SetState(line, Shared)
 }
 
 // SetState forces the state of line if present, reporting whether it was.
@@ -238,13 +171,3 @@ func (c *Cache) SetState(line uint64, st State) bool {
 	}
 	return false
 }
-
-// Stats returns a copy of the counters.
-func (c *Cache) Stats() Stats { return c.stats }
-
-// ResetStats zeroes the counters without disturbing cache contents, used
-// at the end of the warm-up period.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
-// Name returns the cache's configured name.
-func (c *Cache) Name() string { return c.name }

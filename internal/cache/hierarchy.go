@@ -70,31 +70,22 @@ type AccessResult struct {
 
 // Hierarchy is the private cache stack of one CPU.
 type Hierarchy struct {
-	CPU    int
-	tc     *Cache
-	l2     *Cache
-	l3     *Cache
-	domain *Domain
+	tc *Cache
+	l2 *Cache
+	l3 *Cache
+	// invalidated remembers lines a remote write removed from this CPU's
+	// L3, so the next L3 miss on them is classified as a coherence miss.
+	// That miss consumes the entry.
+	invalidated map[uint64]struct{}
 }
-
-// TC, L2 and L3 expose the individual levels for statistics.
-func (h *Hierarchy) TC() *Cache { return h.tc }
-
-// L2 returns the second-level cache.
-func (h *Hierarchy) L2() *Cache { return h.l2 }
-
-// L3 returns the third-level cache.
-func (h *Hierarchy) L3() *Cache { return h.l3 }
 
 // Domain couples the L3 caches of all CPUs with MESI snooping. Coherence
 // may be disabled to ablate its cost (every fill is then Exclusive and no
 // remote copies are invalidated).
 type Domain struct {
-	Geometry  Geometry
 	Coherent  bool
 	CPUs      []*Hierarchy
 	sampleMod uint64
-	par       *lanes // non-nil when parallel snoop lanes are enabled
 }
 
 // NewDomain builds hierarchies for n CPUs sharing one coherence domain.
@@ -102,14 +93,13 @@ func NewDomain(g Geometry, n int, coherent bool) *Domain {
 	if g.Sample == 0 {
 		g.Sample = 1
 	}
-	d := &Domain{Geometry: g, Coherent: coherent, sampleMod: g.Sample}
+	d := &Domain{Coherent: coherent, sampleMod: g.Sample}
 	for i := 0; i < n; i++ {
 		h := &Hierarchy{
-			CPU:    i,
-			tc:     NewCache("tc", g.scale(g.TCSize, g.TCWays), g.TCWays, g.LineSize),
-			l2:     NewCache("l2", g.scale(g.L2Size, g.L2Ways), g.L2Ways, g.LineSize),
-			l3:     NewCache("l3", g.scale(g.L3Size, g.L3Ways), g.L3Ways, g.LineSize),
-			domain: d,
+			tc:          NewCache("tc", g.scale(g.TCSize, g.TCWays), g.TCWays, g.LineSize),
+			l2:          NewCache("l2", g.scale(g.L2Size, g.L2Ways), g.L2Ways, g.LineSize),
+			l3:          NewCache("l3", g.scale(g.L3Size, g.L3Ways), g.L3Ways, g.LineSize),
+			invalidated: make(map[uint64]struct{}),
 		}
 		d.CPUs = append(d.CPUs, h)
 	}
@@ -139,7 +129,7 @@ func (d *Domain) Access(cpu int, addr Addr, kind Kind) AccessResult {
 	write := kind == Store
 
 	if kind == Fetch {
-		hit, _, _ := h.tc.Access(line, false, Exclusive)
+		hit, _ := h.tc.Access(line, false, Exclusive)
 		if hit {
 			return res
 		}
@@ -168,7 +158,7 @@ func (d *Domain) Access(cpu int, addr Addr, kind Kind) AccessResult {
 			}
 			newState = Modified
 		}
-		_, l2victim, _ := h.l2.Access(line, write, newState)
+		_, l2victim := h.l2.Access(line, write, newState)
 		h.l2WritebackToL3(l2victim)
 		return res
 	}
@@ -178,15 +168,22 @@ func (d *Domain) Access(cpu int, addr Addr, kind Kind) AccessResult {
 	if d.Coherent {
 		fill = d.snoop(cpu, line, write)
 	}
-	_, victim, coher := h.l3.Access(line, write, fill)
+	_, victim := h.l3.Access(line, write, fill)
 	st := fill
 	if write {
 		st = Modified
 	}
-	_, l2victim, _ := h.l2.Access(line, write, st)
+	_, l2victim := h.l2.Access(line, write, st)
 	h.l2WritebackToL3(l2victim)
 	res.L3Miss = true
-	res.Coherence = coher
+	// The empty-map guard keeps the single-processor (and low-sharing)
+	// fast path free of a per-miss map probe.
+	if len(h.invalidated) != 0 {
+		if _, ok := h.invalidated[line]; ok {
+			delete(h.invalidated, line)
+			res.Coherence = true
+		}
+	}
 	res.Writeback = victim.Valid && victim.Dirty
 	return res
 }
@@ -202,69 +199,37 @@ func (h *Hierarchy) l2WritebackToL3(victim Evicted) {
 // snoop implements the bus-side MESI transitions for a fill on cpu and
 // returns the state the line should be installed in.
 func (d *Domain) snoop(cpu int, line uint64, write bool) State {
-	anyOther := false
-	if d.par != nil {
-		anyOther = d.par.broadcast(cpu, line, write)
-		switch {
-		case write:
-			return Modified
-		case anyOther:
-			return Shared
-		default:
-			return Exclusive
-		}
-	}
-	for i, other := range d.CPUs {
-		if i == cpu {
-			continue
-		}
-		if write {
-			if present, _ := other.l3.Invalidate(line); present {
-				anyOther = true
-				other.l2.Invalidate(line)
-				other.tc.Invalidate(line)
-			}
-		} else {
-			if present, _ := other.l3.Downgrade(line); present {
-				anyOther = true
-			}
-		}
-	}
-	switch {
-	case write:
+	if write {
+		d.invalidateOthers(cpu, line)
 		return Modified
-	case anyOther:
-		return Shared
-	default:
-		return Exclusive
 	}
-}
-
-func (d *Domain) invalidateOthers(cpu int, line uint64) {
-	if d.par != nil {
-		d.par.broadcast(cpu, line, true)
-		return
-	}
+	anyOther := false
 	for i, other := range d.CPUs {
-		if i == cpu {
-			continue
+		if i != cpu && other.l3.Downgrade(line) {
+			anyOther = true
 		}
-		if present, _ := other.l3.Invalidate(line); present {
-			other.l2.Invalidate(line)
-			other.tc.Invalidate(line)
+	}
+	if anyOther {
+		return Shared
+	}
+	return Exclusive
+}
+
+// invalidateOthers removes line from every hierarchy but cpu's on
+// behalf of a remote writer. The bus snoops the L3s: a CPU's L2 and TC
+// copies go only when its L3 held the line, and that CPU records the
+// line so its next L3 miss on it is classified as a coherence miss.
+func (d *Domain) invalidateOthers(cpu int, line uint64) {
+	for i, h := range d.CPUs {
+		if i != cpu && h.l3.Invalidate(line) {
+			h.invalidated[line] = struct{}{}
+			h.l2.Invalidate(line)
+			h.tc.Invalidate(line)
 		}
 	}
 }
 
-// ResetStats zeroes every cache's counters across the domain.
-func (d *Domain) ResetStats() {
-	for _, h := range d.CPUs {
-		h.tc.ResetStats()
-		h.l2.ResetStats()
-		h.l3.ResetStats()
-	}
-}
-
-// SampleFactor returns the line-sampling divisor; observed event counts
-// represent SampleFactor times as many unsampled events.
-func (d *Domain) SampleFactor() uint64 { return d.sampleMod }
+// Close releases nothing: the domain owns no goroutines or other
+// resources. It stays so callers that scope a domain with defer, such
+// as simbench's cache probe, keep compiling.
+func (d *Domain) Close() {}

@@ -512,7 +512,7 @@ func observed(ctx context.Context, pl *pool, kinds []observe.Kind, name string,
 	opts := make([]system.Option, len(kinds))
 	finish := make([]observe.Finish, len(kinds))
 	for i, k := range kinds {
-		opts[i], finish[i] = k.Attach(name, cfg)
+		opts[i], finish[i] = k.Attach(name)
 	}
 	m, err := pl.do(ctx, func(ctx context.Context) (system.Metrics, error) {
 		return system.Run(ctx, cfg, opts...)

@@ -7,11 +7,11 @@ import (
 )
 
 // hotAllocScope is the set of packages PR 5 made allocation-free in
-// steady state: the event engine, the cache hierarchy and its snoop
-// lanes, the buffer-cache arena, the RNG fast paths, and the odb chunk
-// path. The committed bench trajectory pins a −97.8% allocation win
-// across them; HotAlloc protects it statically instead of only through
-// the 25%-regression bench gate.
+// steady state: the event engine, the cache hierarchy and its
+// coherence domain, the buffer-cache arena, the RNG fast paths, and the
+// odb chunk path. The committed bench trajectory pins a −97.8%
+// allocation win across them; HotAlloc protects it statically instead
+// of only through the 25%-regression bench gate.
 var hotAllocScope = map[string]bool{
 	"odbscale/internal/sim":          true,
 	"odbscale/internal/cache":        true,

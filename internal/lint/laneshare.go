@@ -5,16 +5,18 @@ import (
 	"go/types"
 )
 
-// laneShareScope is the set of packages that run deterministic
-// parallel lane workers today (the coherence domain's snoop lanes) or
-// will under the NUMA/hardware-islands topology work (the bus layer).
+// laneShareScope is the set of packages where deterministic parallel
+// lane workers would run. No package runs lane workers today: the
+// coherence domain snoops sequentially. The rule guards the parked
+// NUMA/hardware-islands topology work, whose per-socket coherence and
+// bus lanes would live in these packages.
 var laneShareScope = map[string]bool{
 	"odbscale/internal/cache": true,
 	"odbscale/internal/bus":   true,
 }
 
-// LaneShare enforces the ownership discipline that makes the parallel
-// snoop lanes bit-identical to sequential execution: each worker owns
+// LaneShare enforces the ownership discipline that makes parallel lane
+// workers bit-identical to sequential execution: each worker owns
 // a fixed, disjoint slice of the domain (cpu ≡ worker mod workers) and
 // may only write state indexed by that owned range. Concretely, inside
 // any function launched with `go` in a scoped package:

@@ -42,7 +42,7 @@ func (a *Artifact[T]) Endpoint() (string, func(io.Writer) error) {
 }
 
 // Attach arms a fresh collector for the point's run.
-func (a *Artifact[T]) Attach(point string, _ system.Config) (system.Option, Finish) {
+func (a *Artifact[T]) Attach(point string) (system.Option, Finish) {
 	opt, result := a.arm()
 	return opt, func(ok bool) (json.RawMessage, error) {
 		if !ok {
@@ -165,7 +165,7 @@ func (hists) Name() string { return "hists" }
 // Endpoint is empty: the recorder serves its histograms on /metrics.
 func (hists) Endpoint() (string, func(io.Writer) error) { return "", nil }
 
-func (h hists) Attach(point string, _ system.Config) (system.Option, Finish) {
+func (h hists) Attach(point string) (system.Option, Finish) {
 	rec := h.cr.StartRun(point)
 	return system.WithRecorder(rec), func(ok bool) (json.RawMessage, error) {
 		h.cr.FinishRun(point, ok)

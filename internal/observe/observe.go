@@ -30,7 +30,7 @@ type Kind interface {
 	// Name keys the kind's artifacts in checkpoints.
 	Name() string
 	// Attach arms the kind for the measurement run of the named point.
-	Attach(point string, cfg system.Config) (system.Option, Finish)
+	Attach(point string) (system.Option, Finish)
 	// Restore puts a checkpointed artifact of the named point back.
 	Restore(point string, data json.RawMessage) error
 	// Endpoint returns the live endpoint path serving the kind's

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"odbscale/internal/buffercache"
@@ -135,8 +136,10 @@ type ioWaiter struct {
 // the offending values, so match them with errors.Is.
 var (
 	// ErrBadConfig reports a configuration whose warehouse, client or
-	// processor count is not positive, or whose buffer cache holds less
-	// than one block.
+	// processor count is not positive, whose buffer cache holds less
+	// than one block, whose machine has no positive finite clock or a
+	// cache geometry the simulator cannot build, or whose scale factor
+	// is zero.
 	ErrBadConfig = errors.New("bad configuration")
 	// ErrNoTxns reports a configuration without a positive MeasureTxns.
 	ErrNoTxns = errors.New("MeasureTxns must be positive")
@@ -160,6 +163,19 @@ func validate(cfg Config) error {
 	if cacheBlocks(cfg) < 1 {
 		return fmt.Errorf("system: %w: BufferCacheMB=%d holds no %d-byte block",
 			ErrBadConfig, cfg.Machine.BufferCacheMB, odb.BlockSize)
+	}
+	if f := cfg.Machine.FreqHz; !(f > 0) || math.IsInf(f, 1) {
+		return fmt.Errorf("system: %w: FreqHz=%v", ErrBadConfig, f)
+	}
+	g := cfg.Machine.Geometry
+	if g.LineSize < 1 || g.LineSize&(g.LineSize-1) != 0 {
+		return fmt.Errorf("system: %w: LineSize=%d is not a positive power of two", ErrBadConfig, g.LineSize)
+	}
+	if g.TCSize < 1 || g.TCWays < 1 || g.L2Size < 1 || g.L2Ways < 1 || g.L3Size < 1 || g.L3Ways < 1 {
+		return fmt.Errorf("system: %w: cache geometry %+v has a non-positive size or way count", ErrBadConfig, g)
+	}
+	if cfg.Tuning.Scale < 1 {
+		return fmt.Errorf("system: %w: Tuning.Scale=%d", ErrBadConfig, cfg.Tuning.Scale)
 	}
 	return nil
 }
@@ -198,12 +214,6 @@ func build(cfg Config) *machine {
 	fsb := bus.New(cfg.Machine.Bus, float64(t.Scale))
 	geo := workload.ScaledGeometry(cfg.Machine.Geometry, t.Scale)
 	domain := cache.NewDomain(geo, cfg.Processors, cfg.Coherent)
-	switch {
-	case t.SnoopLanes > 0:
-		domain.EnableParallelLanes(t.SnoopLanes)
-	case t.SnoopLanes == 0 && cfg.Processors >= cache.MinParallelCPUs:
-		domain.EnableParallelLanes(0)
-	}
 	synthCfg := t.Synth
 	synthCfg.Scale = t.Scale
 	synthCfg.HotSetBytes = t.HotBytesPerWhs * cfg.Warehouses
@@ -784,7 +794,6 @@ func (m *machine) reset() {
 	m.bc.ResetStats()
 	m.disks.ResetStats()
 	m.fsb.ResetStats(m.eng.Now())
-	m.domain.ResetStats()
 	m.sched.ResetStats()
 	m.lm.ResetStats()
 	m.se.ResetStats()

@@ -54,6 +54,56 @@ func TestCacheSmallerThanOneBlockRejected(t *testing.T) {
 	}
 }
 
+// TestBadMachineConfigRejected: a clock, cache geometry or scale factor
+// the simulator cannot run is a configuration error, not a divide-by-zero
+// panic, a run that never ends, or a silently different machine (a
+// 48-byte line would simulate 64-byte lines). Each row runs under a
+// deadline, so a row that validation lets through fails instead of
+// hanging the suite.
+func TestBadMachineConfigRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mod  func(*Config)
+	}{
+		{"FreqHz=0", func(c *Config) { c.Machine.FreqHz = 0 }},
+		{"FreqHz<0", func(c *Config) { c.Machine.FreqHz = -1.6e9 }},
+		{"FreqHz=NaN", func(c *Config) { c.Machine.FreqHz = math.NaN() }},
+		{"FreqHz=Inf", func(c *Config) { c.Machine.FreqHz = math.Inf(1) }},
+		{"LineSize=0", func(c *Config) { c.Machine.Geometry.LineSize = 0 }},
+		{"LineSize<0", func(c *Config) { c.Machine.Geometry.LineSize = -64 }},
+		{"LineSize=48", func(c *Config) { c.Machine.Geometry.LineSize = 48 }},
+		{"TCSize=0", func(c *Config) { c.Machine.Geometry.TCSize = 0 }},
+		{"TCWays=0", func(c *Config) { c.Machine.Geometry.TCWays = 0 }},
+		{"L2Size<0", func(c *Config) { c.Machine.Geometry.L2Size = -1 }},
+		{"L2Ways=0", func(c *Config) { c.Machine.Geometry.L2Ways = 0 }},
+		{"L3Size=0", func(c *Config) { c.Machine.Geometry.L3Size = 0 }},
+		{"L3Ways=0", func(c *Config) { c.Machine.Geometry.L3Ways = 0 }},
+		{"Scale=0", func(c *Config) { c.Tuning.Scale = 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := fastConfig(10, 8, 1)
+			tc.mod(&cfg)
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			if _, err := Run(ctx, cfg); !errors.Is(err, ErrBadConfig) {
+				t.Fatalf("err = %v, want ErrBadConfig", err)
+			}
+		})
+	}
+}
+
+// TestShippedMachinesValid: both paper machines, with the default tuning
+// every campaign and benchmark starts from, pass validation.
+func TestShippedMachinesValid(t *testing.T) {
+	for _, m := range []MachineConfig{XeonQuad(), Itanium2Quad()} {
+		cfg := DefaultConfig(10, 8, 4)
+		cfg.Machine = m
+		if err := validate(cfg); err != nil {
+			t.Errorf("%s: %v", m.Name, err)
+		}
+	}
+}
+
 func TestRunContextCancellation(t *testing.T) {
 	cfg := fastConfig(200, 30, 4)
 	cfg.MeasureTxns = 200000 // minutes of simulation if cancellation failed
